@@ -7,6 +7,17 @@ broken by lowest feature index, then lowest threshold.  Rows are put into a
 canonical order before training, so the fitted model is bit-identical under
 any permutation of the training set.
 
+The search is presorted and partitioned.  Each feature is argsorted once per
+fit.  Every node owns a matrix holding its rows in each feature's sorted
+order, plus a row in canonical order.  A split partitions every row of that
+matrix stably by one lookup of each row's side, so the children arrive
+already sorted and no node touches rows outside itself.  Within a node, one
+cumulative sum per feature gives the left sums at every sorted position, and
+only positions where the value changes and both children keep
+``min_samples_leaf`` rows are scored.  Each feature sums its residuals in its
+own sorted order, with no binning, so every score is bit-identical to a
+direct sweep over the node's sorted rows.
+
 Targets are log-seconds; callers exponentiate predictions back to linear
 time.
 """
@@ -14,6 +25,7 @@ time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -89,12 +101,22 @@ def feature_matrix(corpus: Corpus, task_ids: Sequence[str]) -> np.ndarray:
 
 
 class _TreeBuilder:
-    """Grows one tree on the residuals; reuses the per-feature presort."""
+    """Grows trees on residuals over one fixed training matrix.
 
-    def __init__(self, X: np.ndarray, sort_idx: list[np.ndarray], params: GbrtParams):
+    A node holds an (F+1, m) int32 matrix of its rows: row f lists them in
+    feature f's presorted order, the last row in canonical row order.
+    """
+
+    def __init__(self, X: np.ndarray, params: GbrtParams):
+        n, num_features = X.shape
         self.X = X
-        self.sort_idx = sort_idx
+        self.values = np.ascontiguousarray(X.T).ravel()  # feature-major
+        self.offsets = np.arange(num_features, dtype=np.intp)[:, None] * n
         self.params = params
+        self.side = np.empty(n, dtype=bool)  # split side of each row, by row id
+        self.root = np.empty((num_features + 1, n), dtype=np.int32)
+        self.root[:num_features] = np.argsort(X, axis=0, kind="stable").T
+        self.root[num_features] = np.arange(n)
 
     def build(self, residuals: np.ndarray) -> tuple[RegressionTree, np.ndarray]:
         self.residuals = residuals
@@ -104,7 +126,7 @@ class _TreeBuilder:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
-        self._grow(np.ones(self.X.shape[0], dtype=bool), depth=0)
+        self._grow(self.root, depth=0)
         tree = RegressionTree(
             feature=np.asarray(self.feature, dtype=np.int32),
             threshold=np.asarray(self.threshold, dtype=np.float64),
@@ -122,80 +144,81 @@ class _TreeBuilder:
         return len(self.feature) - 1
 
     def _make_leaf(self, node: int, member: np.ndarray) -> None:
+        # member is in ascending row order, so the mean sums in a fixed order
         val = float(np.mean(self.residuals[member]))
         self.value[node] = val
         self.train_out[member] = val
 
-    def _grow(self, member: np.ndarray, depth: int) -> int:
+    def _grow(self, rows: np.ndarray, depth: int) -> int:
         node = self._new_node()
-        m = int(np.count_nonzero(member))
-        msl = self.params.min_samples_leaf
-        if depth >= self.params.max_depth or m < 2 * msl:
+        m = rows.shape[1]
+        member = rows[-1]
+        if depth >= self.params.max_depth or m < 2 * self.params.min_samples_leaf:
             self._make_leaf(node, member)
             return node
 
-        split = self._best_split(member, m)
+        split = self._best_split(rows)
         if split is None:
             self._make_leaf(node, member)
             return node
 
+        # Stable partition: each child's rows keep their sorted order.
         feat, thr = split
         self.feature[node] = feat
         self.threshold[node] = thr
-        go_left = member & (self.X[:, feat] <= thr)
-        self.left[node] = self._grow(go_left, depth + 1)
-        self.right[node] = self._grow(member & ~go_left, depth + 1)
+        self.side[member] = self.X[member, feat] <= thr
+        go_left = self.side[rows]
+        n_left = int(np.count_nonzero(go_left[-1]))
+        self.left[node] = self._grow(rows[go_left].reshape(len(rows), n_left), depth + 1)
+        self.right[node] = self._grow(rows[~go_left].reshape(len(rows), m - n_left),
+                                      depth + 1)
         return node
 
-    def _best_split(self, member: np.ndarray, m: int) -> tuple[int, float] | None:
+    def _best_split(self, rows: np.ndarray) -> tuple[int, float] | None:
         """Exhaustive search maximizing the SSE reduction of the split.
 
         For squared error the reduction is (sum_L)^2/n_L + (sum_R)^2/n_R minus
         the parent term, so it suffices to maximize the children's score.
+        Each feature sums its residuals in its own sorted order; the parent
+        term comes from the first non-constant feature.
         """
         msl = self.params.min_samples_leaf
-        resid = self.residuals
-        total_all = None
-        best_score = None
-        best = None
-        counts = np.arange(1, m, dtype=np.float64)
-        size_ok = (counts >= msl) & (m - counts >= msl)
+        m = rows.shape[1]
+        idx = rows[:-1]
+        sv = self.values.take(idx + self.offsets)
+        # candidate boundary p splits after sorted position p, leaving p+1 rows left
+        width = m - 2 * msl + 1
+        cand = np.flatnonzero(sv[:, msl - 1:m - msl] < sv[:, msl:m - msl + 1])
+        if cand.size == 0:
+            return None
+        feats, pos = np.divmod(cand, width)
+        pos += msl - 1
+        prefix = np.cumsum(self.residuals.take(idx), axis=1)
+        totals = prefix[:, -1]
+        first = int(np.argmax(sv[:, 0] != sv[:, -1]))
+        parent_score = totals[first] * totals[first] / m
 
-        for feat in range(self.X.shape[1]):
-            order = self.sort_idx[feat]
-            node_idx = order[member[order]]
-            sv = self.X[node_idx, feat]
-            if sv[0] == sv[-1]:
-                continue
-            prefix = np.cumsum(resid[node_idx])
-            total = prefix[-1]
-            if total_all is None:
-                total_all = total
-                best_score = total * total / m  # parent score; only real gains beat it
-            valid = (sv[:-1] < sv[1:]) & size_ok
-            if not valid.any():
-                continue
-            pos = np.nonzero(valid)[0]
-            left_sum = prefix[pos]
-            n_left = counts[pos]
-            score = left_sum * left_sum / n_left \
-                + (total - left_sum) * (total - left_sum) / (m - n_left)
-            j = int(np.argmax(score))  # first max: lowest threshold wins ties
-            if score[j] > best_score:
-                best_score = score[j]
-                p = int(pos[j])
-                thr = (sv[p] + sv[p + 1]) / 2.0
-                if thr == sv[p + 1]:  # midpoint rounded up to the right value
-                    thr = sv[p]
-                best = (feat, float(thr))
-        return best
+        left_sum = prefix.ravel().take(feats * m + pos)
+        n_left = pos + 1.0
+        total = totals.take(feats)
+        score = left_sum * left_sum / n_left \
+            + (total - left_sum) * (total - left_sum) / (m - n_left)
+        # first max over (feature, position) in row-major order: lowest feature,
+        # then lowest threshold, wins ties
+        j = int(np.argmax(score))
+        if not score[j] > parent_score:  # only real gains beat the parent
+            return None
+        feat, p = int(feats[j]), int(pos[j])
+        thr = (sv[feat, p] + sv[feat, p + 1]) / 2.0
+        if thr == sv[feat, p + 1]:  # midpoint rounded up to the right value
+            thr = sv[feat, p]
+        return feat, float(thr)
 
 
-def train(rows, targets, params: GbrtParams = GbrtParams(), seed: int = 0) -> GbrtModel:
+def train(rows, targets, params: GbrtParams = GbrtParams()) -> GbrtModel:
     """Fit a boosted ensemble on (rows, targets).
 
-    Deterministic for fixed inputs; ``seed`` is accepted for interface
-    stability but unused because there is no subsampling.
+    Deterministic for fixed inputs: there is no subsampling, so no seed.
     """
     X = np.asarray(rows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -218,10 +241,9 @@ def train(rows, targets, params: GbrtParams = GbrtParams(), seed: int = 0) -> Gb
     X = np.ascontiguousarray(X[order])
     y = y[order]
 
-    sort_idx = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
     base = float(np.mean(y))
     pred = np.full(X.shape[0], base)
-    builder = _TreeBuilder(X, sort_idx, params)
+    builder = _TreeBuilder(X, params)
     trees = []
     mse_hist = []
     for _ in range(params.num_trees):
@@ -287,20 +309,56 @@ def model_to_dict(model: GbrtModel) -> dict:
     }
 
 
+def _check_tree(k: int, tree: RegressionTree, num_features: int) -> None:
+    """Reject trees that predict could not walk, or would walk forever."""
+    n = tree.feature.size
+    if n == 0 or any(a.shape != (n,) for a in
+                     (tree.feature, tree.threshold, tree.left, tree.right, tree.value)):
+        raise ValidationError(f"tree {k}: node arrays must be 1-D, non-empty and equally long")
+    internal = tree.feature >= 0
+    bad = (tree.feature < -1) | (tree.feature >= num_features)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"tree {k}, node {i}: feature {int(tree.feature[i])} is not "
+                              f"-1 (leaf) or in [0, {num_features})")
+    node = np.arange(n)
+    for side, child in (("left", tree.left), ("right", tree.right)):
+        # children after their parent: every walk moves forward and ends
+        bad = internal & ((child <= node) | (child >= n))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"tree {k}, node {i}: {side} child {int(child[i])} "
+                                  f"must lie in ({i}, {n})")
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        raise ValidationError(f"tree {k}: thresholds and values must be finite")
+
+
 def model_from_dict(doc: dict) -> GbrtModel:
+    """Build a model from its JSON document; reject any structurally invalid one."""
     if doc.get("format") != MODEL_FORMAT:
         raise ValidationError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise ValidationError(f"unsupported model version {doc.get('version')!r}")
-    params = GbrtParams(**doc["params"])
-    trees = tuple(RegressionTree(
-        feature=np.asarray(t["feature"], dtype=np.int32),
-        threshold=np.asarray(t["threshold"], dtype=np.float64),
-        left=np.asarray(t["left"], dtype=np.int32),
-        right=np.asarray(t["right"], dtype=np.int32),
-        value=np.asarray(t["value"], dtype=np.float64)) for t in doc["trees"])
-    return GbrtModel(base_score=float(doc["base_score"]), trees=trees, params=params,
-                     num_features=int(doc["num_features"]))
+    try:
+        params = GbrtParams(**doc["params"])
+        trees = tuple(RegressionTree(
+            feature=np.asarray(t["feature"], dtype=np.int32),
+            threshold=np.asarray(t["threshold"], dtype=np.float64),
+            left=np.asarray(t["left"], dtype=np.int32),
+            right=np.asarray(t["right"], dtype=np.int32),
+            value=np.asarray(t["value"], dtype=np.float64)) for t in doc["trees"])
+        base_score = float(doc["base_score"])
+        num_features = int(doc["num_features"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed model document: {exc!r}") from exc
+    if not math.isfinite(base_score):
+        raise ValidationError(f"base_score must be finite, got {base_score}")
+    if len(trees) != params.num_trees:
+        raise ValidationError(f"{len(trees)} trees but params.num_trees is {params.num_trees}")
+    for k, tree in enumerate(trees):
+        _check_tree(k, tree, num_features)
+    return GbrtModel(base_score=base_score, trees=trees, params=params,
+                     num_features=num_features)
 
 
 def save_model(path, model: GbrtModel) -> None:

@@ -256,11 +256,26 @@ class SweepResult:
     realisations: tuple[RealizationResult, ...]
 
 
-def _run_one(payload) -> RealizationResult:
-    corpus, system, seed, c_grid, assignment, gbrt_params, gxp_model, gxp_test_ids = payload
+def _run_one(context, job) -> RealizationResult:
+    corpus, c_grid, assignment, gbrt_params, gxp_model, gxp_test_ids = context
+    system, seed = job
     return run_realization(corpus, system, seed, c_grid, assignment=assignment,
                            gbrt_params=gbrt_params, gxp_model=gxp_model,
                            gxp_test_ids=gxp_test_ids)
+
+
+# Set once per worker process by the pool initializer, so the corpus and
+# models travel to each worker once rather than inside every job.
+_worker_context = None
+
+
+def _init_worker(context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _run_in_worker(job) -> RealizationResult:
+    return _run_one(_worker_context, job)
 
 
 def _mean_report(reports: Sequence[MetricReport]) -> MetricReport:
@@ -292,16 +307,17 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
         gxp_model = train(split.train_rows, split.train_targets, config.gbrt)
         gxp_test_ids = split.test_ids
 
-    payloads = [(corpus, system, config.base_seed + i, config.c_grid,
-                 assignment, config.gbrt, gxp_model, gxp_test_ids)
-                for system in config.systems
-                for i in range(config.num_realisations)]
+    context = (corpus, config.c_grid, assignment, config.gbrt, gxp_model, gxp_test_ids)
+    jobs = [(system, config.base_seed + i)
+            for system in config.systems
+            for i in range(config.num_realisations)]
 
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_one, payloads))
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker,
+                                 initargs=(context,)) as pool:
+            results = list(pool.map(_run_in_worker, jobs))
     else:
-        results = [_run_one(p) for p in payloads]
+        results = [_run_one(context, job) for job in jobs]
 
     mean: dict[tuple[str, float], MetricReport] = {}
     R = config.num_realisations

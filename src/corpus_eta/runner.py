@@ -160,6 +160,28 @@ class BatchSummary:
     aborted: int      # not attempted because fail_fast tripped
 
 
+def _drop_torn_final_row(times_path: Path) -> None:
+    """Remove an unterminated final row, left by a crash in the middle of a write.
+
+    The row goes even when it parses, because a cut inside the seconds field
+    still reads as a (wrong) number; its task is then encoded again. The
+    shortened file replaces the old one atomically.
+    """
+    data = times_path.read_bytes()
+    if data.endswith(b"\n"):
+        return
+    keep = data[:data.rfind(b"\n") + 1]
+    logger.warning("%s: dropping unterminated final row %r left by an interrupted "
+                   "write; its task will be encoded again",
+                   times_path, data[len(keep):].decode("utf-8", "replace"))
+    tmp = times_path.with_name(times_path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(keep)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, times_path)
+
+
 def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_path,
                  scratch_dir, tasks: Sequence[EncodeTask] | None = None,
                  concurrency: int = 1, fail_fast: bool = False,
@@ -168,7 +190,8 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
 
     Tasks whose ids already appear in times_path are skipped, so re-running
     after an interruption never duplicates a measurement. Each row is written
-    and flushed under a lock the moment its task finishes.
+    and flushed under a lock the moment its task finishes; a final row cut
+    short by a crash is dropped, so its task runs again.
     """
     if concurrency < 1:
         raise ValidationError(f"concurrency must be >= 1, got {concurrency}")
@@ -177,6 +200,7 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
     times_path = Path(times_path)
     done: set[str] = set()
     if times_path.exists() and times_path.stat().st_size > 0:
+        _drop_torn_final_row(times_path)
         done = set(load_times_csv(times_path))
     pending = [t for t in todo_all if t.task_id not in done]
     skipped = len(todo_all) - len(pending)

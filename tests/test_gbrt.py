@@ -220,7 +220,7 @@ class TestBoostingQuality:
                                 max_depth=int(rng.integers(0, 5)),
                                 learning_rate=float(rng.uniform(0.05, 1.0)),
                                 min_samples_leaf=int(rng.integers(1, 4)))
-            model = train(X, y, params, seed=seed)
+            model = train(X, y, params)
             mse = model.train_mse
             assert len(mse) == params.num_trees
             for i in range(len(mse) - 1):
@@ -339,6 +339,82 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_model(path)
 
+
+def valid_doc():
+    rng = np.random.default_rng(8)
+    model = train(rng.normal(size=(30, 3)), rng.normal(size=30),
+                  GbrtParams(num_trees=2, max_depth=2, min_samples_leaf=1))
+    doc = model_to_dict(model)
+    # the cases below edit these internal nodes
+    assert doc["trees"][0]["feature"][0] >= 0 and doc["trees"][1]["feature"][2] >= 0
+    return doc
+
+
+class TestModelValidationOnLoad:
+    def test_valid_document_loads(self):
+        model_from_dict(valid_doc())
+
+    def test_self_loop_rejected(self, tmp_path):
+        # a child pointing back at its own node used to make predict loop forever
+        doc = valid_doc()
+        doc["trees"][0]["left"][0] = 0
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"tree 0, node 0: left child 0"):
+            load_model(path)
+
+    def test_child_before_parent_rejected(self):
+        doc = valid_doc()
+        doc["trees"][1]["right"][2] = 1  # a real node, but before its parent
+        with pytest.raises(ValidationError, match=r"tree 1, node 2: right child 1"):
+            model_from_dict(doc)
+
+    def test_child_out_of_range_rejected(self):
+        doc = valid_doc()
+        n = len(doc["trees"][0]["feature"])
+        doc["trees"][0]["right"][0] = n
+        with pytest.raises(ValidationError, match=rf"right child {n} must lie in \(0, {n}\)"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("feature", [3, 99, -2])
+    def test_feature_out_of_range_rejected(self, feature):
+        doc = valid_doc()
+        doc["trees"][0]["feature"][0] = feature
+        with pytest.raises(ValidationError, match=rf"node 0: feature {feature} is not"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["threshold", "value"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, field, bad):
+        doc = valid_doc()
+        doc["trees"][1][field][-1] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            model_from_dict(doc)
+
+    def test_non_finite_base_score_rejected(self):
+        doc = valid_doc()
+        doc["base_score"] = math.nan
+        with pytest.raises(ValidationError, match="base_score must be finite"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("num_trees", [1, 3])
+    def test_tree_count_must_match_params(self, num_trees):
+        doc = valid_doc()
+        doc["params"]["num_trees"] = num_trees
+        with pytest.raises(ValidationError, match=f"2 trees but params.num_trees is {num_trees}"):
+            model_from_dict(doc)
+
+    def test_unequal_node_arrays_rejected(self):
+        doc = valid_doc()
+        doc["trees"][0]["value"].append(0.0)
+        with pytest.raises(ValidationError, match="equally long"):
+            model_from_dict(doc)
+
+    def test_missing_field_rejected(self):
+        doc = valid_doc()
+        del doc["trees"][0]["left"]
+        with pytest.raises(ValidationError, match="malformed model"):
+            model_from_dict(doc)
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs,msg", [

@@ -205,6 +205,16 @@ class TestRunRealization:
         with pytest.raises(ValidationError, match="unknown system"):
             run_realization(corpus, "QP", seed=0, c_grid=(0.5,))
 
+    def test_parallel_models_match_serial(self):
+        # the GBRT parameters and the GXP model reach workers through the
+        # pool initializer, not the per-realisation jobs
+        corpus = tiny_corpus(n_clips=6)
+        base = dict(systems=("XP", "CXP", "GXP"), num_realisations=2,
+                    c_grid=(0.25, 0.5), k=2, gbrt=SMALL_GBRT, test_groups=("g1",))
+        serial = monte_carlo(corpus, SweepConfig(jobs=1, **base))
+        parallel = monte_carlo(corpus, SweepConfig(jobs=2, **base))
+        assert serial.realisations == parallel.realisations
+
     def test_corpus_without_times_rejected(self):
         corpus = make_corpus(n_clips=2)
         with pytest.raises(ValidationError, match="no measured times"):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from corpus_eta.corpus import TIMES_HEADER, load_times_csv
-from corpus_eta.errors import EncodeError, ValidationError
+from corpus_eta.errors import CsvParseError, EncodeError, ValidationError
 from corpus_eta.runner import (PLACEHOLDERS, BatchSummary, CommandTemplate,
                                batch_encode, resolve_input, run_encode,
                                task_mapping)
@@ -233,6 +233,49 @@ class TestBatchEncode:
         with open(times_path, newline="") as fh:
             ids = [row[0] for row in list(csv.reader(fh))[1:]]
         assert len(ids) == len(set(ids))  # resume never duplicates a task row
+
+    def test_resume_after_cut_anywhere_in_final_row(self, tmp_path, caplog):
+        corpus, input_dir = small_corpus(tmp_path)
+        full_path = tmp_path / "full.csv"
+        batch_encode(corpus, NOOP, input_dir, full_path, tmp_path / "scratch")
+        full = full_path.read_bytes()
+        last_row = full.rstrip(b"\r\n").rfind(b"\n") + 1
+        every_task = sorted(t.task_id for t in corpus.tasks)
+        for cut in range(last_row, len(full)):
+            times_path = tmp_path / f"cut{cut}.csv"
+            times_path.write_bytes(full[:cut])
+            caplog.clear()
+            summary = batch_encode(corpus, NOOP, input_dir, times_path,
+                                   tmp_path / "scratch")
+            assert summary.skipped == 3 and summary.succeeded == 1, cut
+            with open(times_path, newline="") as fh:
+                ids = [row[0] for row in list(csv.reader(fh))[1:]]
+            assert sorted(ids) == every_task, cut
+            assert times_path.read_bytes()[:last_row] == full[:last_row]
+            torn = cut > last_row
+            assert ("unterminated final row" in caplog.text) == torn, cut
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_torn_header_starts_a_fresh_file(self, tmp_path):
+        corpus, input_dir = small_corpus(tmp_path)
+        times_path = tmp_path / "times.csv"
+        times_path.write_text("task_id,sec")
+        summary = batch_encode(corpus, NOOP, input_dir, times_path,
+                               tmp_path / "scratch")
+        assert summary.succeeded == 4
+        assert len(load_times_csv(times_path)) == 4
+
+    @pytest.mark.parametrize("text", [
+        "task_id,seconds\r\nt1,fast\r\nt2,1.0",     # bad row before a torn one
+        "task_id,seconds\r\nt1,1.0\r\nt2,fast\r\n",  # bad final row, terminated
+        "task_id,seconds\r\nt1,1.0,9\r\n",
+    ])
+    def test_other_malformed_rows_still_raise(self, tmp_path, text):
+        corpus, input_dir = small_corpus(tmp_path)
+        times_path = tmp_path / "times.csv"
+        times_path.write_bytes(text.encode())
+        with pytest.raises(CsvParseError, match="row"):
+            batch_encode(corpus, NOOP, input_dir, times_path, tmp_path / "scratch")
 
     def test_all_failures_leave_manifest_and_no_times(self, tmp_path):
         corpus, input_dir = small_corpus(tmp_path)
