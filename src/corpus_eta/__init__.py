@@ -7,53 +7,4 @@ models (XP, CXP, GXP) or a completion-ratio cascade over them. A Monte-Carlo
 harness scores every predictor over random corpus orderings.
 """
 
-from .clustering import (CLUSTER_FEATURES, DEFAULT_K, ClusterAssignment,
-                         cluster_clips, cluster_sizes_by_task, kmeans,
-                         standardize)
-from .complexity import (BLOCK_SIZE, ClipComplexity, FrameFeatures,
-                         analyze_frames, analyze_yuv, block_dct_energy,
-                         frame_block_energies, read_yuv420p_luma)
-from .config import AppConfig, load_config
-from .corpus import (CQPS, DEFAULT_ENCODERS, PRESET_ORD, PRESETS, Clip,
-                     CompletionState, Corpus, EncodeTask, TimeRecord,
-                     expand_tasks, from_log_time, load_corpus, save_corpus,
-                     task_id_for, to_log_time)
-from .errors import (ConfigError, CorpusEtaError, CsvParseError, EncodeError,
-                     PredictionError, ValidationError)
-from .gbrt import (FEATURE_NAMES, GbrtModel, GbrtParams, feature_matrix,
-                   feature_row, load_model, predict, predict_row, save_model,
-                   train)
-from .harness import (DEFAULT_C_GRID, RealizationResult, SweepConfig,
-                      SweepResult, SynthSpec, default_time_law, monte_carlo,
-                      run_realization, synth_corpus, write_realisations_csv,
-                      write_report_csv)
-from .metrics import MetricReport, evaluate, mape, r2, sape
-from .predictors import (DEFAULT_CASCADE, SYSTEMS, AggregatePrediction,
-                         CascadePolicy, GxpSplit, bp_predict, cascade_select,
-                         cp_predict, cxp_order, gxp_train_split, xp_predict)
-from .runner import (BatchSummary, CommandTemplate, EncodeResult,
-                     batch_encode, resolve_input, run_encode)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AggregatePrediction", "AppConfig", "BLOCK_SIZE", "BatchSummary",
-    "CLUSTER_FEATURES", "CQPS", "CascadePolicy", "Clip", "ClipComplexity",
-    "ClusterAssignment", "CommandTemplate", "CompletionState", "ConfigError",
-    "Corpus", "CorpusEtaError", "CsvParseError", "DEFAULT_CASCADE",
-    "DEFAULT_C_GRID", "DEFAULT_ENCODERS", "DEFAULT_K", "EncodeError",
-    "EncodeResult", "EncodeTask", "FEATURE_NAMES", "FrameFeatures",
-    "GbrtModel", "GbrtParams", "GxpSplit", "MetricReport", "PRESETS",
-    "PRESET_ORD", "PredictionError", "RealizationResult", "SYSTEMS",
-    "SweepConfig", "SweepResult", "SynthSpec", "TimeRecord",
-    "ValidationError", "analyze_frames", "analyze_yuv", "batch_encode",
-    "block_dct_energy", "bp_predict", "cascade_select", "cluster_clips",
-    "cluster_sizes_by_task", "cp_predict", "cxp_order", "default_time_law",
-    "evaluate", "expand_tasks", "feature_matrix", "feature_row",
-    "frame_block_energies", "from_log_time", "gxp_train_split", "kmeans",
-    "load_config", "load_corpus", "load_model", "mape", "monte_carlo",
-    "predict", "predict_row", "r2", "read_yuv420p_luma", "resolve_input",
-    "run_encode", "run_realization", "sape", "save_corpus", "save_model",
-    "standardize", "synth_corpus", "task_id_for", "to_log_time", "train",
-    "write_realisations_csv", "write_report_csv", "xp_predict",
-]

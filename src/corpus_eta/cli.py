@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 when input data or arguments fail validation,
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import json
 import os
@@ -15,19 +16,20 @@ import sys
 from fractions import Fraction
 
 from . import complexity, corpus as corpus_mod
-from .clustering import (DEFAULT_K, cluster_clips, cluster_sizes_by_task,
-                         save_centroids_csv, save_clusters_csv)
+from .clustering import DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv
 from .config import AppConfig, load_config
-from .corpus import (DEFAULT_ENCODERS, Clip, load_corpus, load_features_csv,
-                     save_corpus, to_log_time)
+from .corpus import DEFAULT_ENCODERS, Clip, load_corpus, load_features_csv, save_corpus
 from .errors import CorpusEtaError, EncodeError, ValidationError
-from .gbrt import GbrtParams, feature_matrix, load_model, save_model, train
+from .gbrt import GbrtParams, feature_matrix, load_model, save_model
 from .harness import (SweepConfig, SynthSpec, load_report_csv, monte_carlo,
-                      synth_corpus, write_realisations_csv, write_report_csv,
-                      write_report_json)
-from .predictors import (SYSTEMS, bp_predict, cascade_select, cp_predict,
-                         xp_predict)
+                      synth_corpus, write_realisations_csv, write_report_csv)
+from .predictors import SYSTEMS, cascade_select, predict_remaining
 from .runner import CommandTemplate, batch_encode
+
+# Nothing here calls these; perfbench/tracing.py wraps them as attributes
+# of this module, so they stay importable from it.
+from .gbrt import train  # noqa: F401
+from .predictors import bp_predict, cp_predict, xp_predict  # noqa: F401
 
 USAGE_EXIT = 64
 
@@ -203,10 +205,7 @@ def cmd_simulate(args) -> int:
         test_groups=_split_labels(args.test_groups),
         jobs=args.jobs)
     result = monte_carlo(corpus, sweep)
-    if args.format == "json":
-        write_report_json(args.report_out, result)
-    else:
-        write_report_csv(args.report_out, result)
+    write_report_csv(args.report_out, result)
     print(f"wrote report to {args.report_out}")
     if args.realisations_out is not None:
         write_realisations_csv(args.realisations_out, result)
@@ -214,78 +213,60 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _predict_common(args, corpus, system: str, config: AppConfig):
-    """One-shot aggregate prediction for the current completion state."""
-    times = corpus.times or {}
-    done_ids = [t.task_id for t in corpus.tasks if t.task_id in times]
-    remaining_ids = [t.task_id for t in corpus.tasks if t.task_id not in times]
-    N = corpus.N
-    c = len(done_ids) / N
-    if not remaining_ids:
+def _predict_common(args, corpus, system: str, config: AppConfig, done, queued):
+    """One-shot prediction: the completed tasks in corpus order, then the queued ones."""
+    if not queued:
         raise ValidationError("every task already has a measured time; nothing to predict")
-
-    if system == "BP":
-        return bp_predict([times[tid].seconds for tid in done_ids], N,
-                          remaining_ids=remaining_ids)
+    order = done + queued
+    rows = labels = model = None
     if system == "CP":
         k = config.k if args.k is None else args.k
         assignment = cluster_clips(corpus.clips, k=k, seed=args.seed)
-        tmap = corpus.task_map()
-        by_cluster: dict[int, list[float]] = {}
-        for tid in done_ids:
-            label = assignment.labels[tmap[tid].clip_id]
-            by_cluster.setdefault(label, []).append(times[tid].seconds)
-        counts = cluster_sizes_by_task(assignment, corpus.tasks)
-        remaining_clusters = {tid: assignment.labels[tmap[tid].clip_id]
-                              for tid in remaining_ids}
-        return cp_predict(by_cluster, counts, N, remaining_clusters=remaining_clusters)
-
-    # model-backed systems
-    if args.model_in is not None:
-        model = load_model(args.model_in)
-    else:
-        if system == "GXP":
+        labels = [assignment.labels[t.clip_id] for t in order]
+    elif system != "BP":
+        if args.model_in is not None:
+            model = load_model(args.model_in)
+        elif system == "GXP":
             raise ValidationError("GXP predicts with a model trained elsewhere; "
                                   "pass --model-in")
-        if not done_ids:
-            raise ValidationError(f"{system} needs at least one completed task to train on")
-        X = feature_matrix(corpus, done_ids)
-        y = [to_log_time(times[tid].seconds) for tid in done_ids]
-        model = train(X, y, _gbrt_params(args, config))
-    if args.model_out is not None:
-        save_model(args.model_out, model)
-    X_rem = feature_matrix(corpus, remaining_ids)
-    rows = {tid: X_rem[i] for i, tid in enumerate(remaining_ids)}
-    return xp_predict(model, rows, c=c, system=system)
+        else:
+            model = _gbrt_params(args, config)
+        rows = feature_matrix(corpus, [t.task_id for t in order])
+    result = predict_remaining(system, [corpus.times[t.task_id].seconds for t in done],
+                               corpus.N, rows=rows, labels=labels, model=model)
+    if args.model_out is not None and result.model is not None:
+        save_model(args.model_out, result.model)
+    return result
 
 
 def cmd_predict(args) -> int:
     config = load_config(args.config)
     corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
                          encoders=args.encoders)
-    completed = len(corpus.times) if corpus.times is not None else 0
-    c = completed / corpus.N
+    times = corpus.times or {}
+    done = [t for t in corpus.tasks if t.task_id in times]
+    queued = [t for t in corpus.tasks if t.task_id not in times]
 
     system = args.system
     if system is None:
-        system = cascade_select(config.cascade, c)
+        system = cascade_select(config.cascade, len(done) / corpus.N)
 
-    result = _predict_common(args, corpus, system, config)
+    result = _predict_common(args, corpus, system, config, done, queued)
 
-    if args.per_task_out is not None and result.t_hat is not None:
-        import csv as _csv
+    if args.per_task_out is not None:
         with open(args.per_task_out, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["task_id", "predicted_seconds"])
-            for tid in sorted(result.t_hat):
-                writer.writerow([tid, repr(result.t_hat[tid])])
+            for tid, seconds in sorted(zip((t.task_id for t in queued),
+                                           result.t_hat.tolist())):
+                writer.writerow([tid, repr(seconds)])
 
     doc = {
         "system": result.system,
         "c": result.c,
         "total_tasks": corpus.N,
-        "completed": completed,
-        "remaining": corpus.N - completed,
+        "completed": len(done),
+        "remaining": len(queued),
         "T_hat_seconds": result.T_hat,
         "T_hat_hms": _hms(result.T_hat),
     }
@@ -406,8 +387,6 @@ def build_parser() -> _Parser:
     p.add_argument("--min-leaf", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help="realisation-level processes")
     p.add_argument("--report-out", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv",
-                   help="report file format")
     p.add_argument("--realisations-out", default=None)
     p.add_argument("--corpus-out", default=None,
                    help="also write the corpus CSVs here")

@@ -20,11 +20,10 @@ from .predictors import DEFAULT_CASCADE, CascadePolicy
 
 ENV_VAR = "CORPUS_ETA_CONFIG"
 
-_TOP_KEYS = {"k", "gbrt", "cascade", "sweep", "paths"}
+_TOP_KEYS = {"k", "gbrt", "cascade", "sweep"}
 _GBRT_KEYS = {"num_trees", "max_depth", "learning_rate", "min_samples_leaf"}
 _CASCADE_KEYS = {"bounds", "systems"}
 _SWEEP_KEYS = {"realisations", "base_seed", "c_grid"}
-_PATH_KEYS = {"features", "times", "tasks"}
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,6 @@ class AppConfig:
     realisations: int = 100
     base_seed: int = 0
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
-    features_path: str | None = None
-    times_path: str | None = None
-    tasks_path: str | None = None
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -128,16 +124,5 @@ def load_config(path=None) -> AppConfig:
             raise ConfigError("config key 'sweep.c_grid' must be a non-empty list")
         c_grid = tuple(_get_float(v, f"sweep.c_grid[{i}]") for i, v in enumerate(raw))
 
-    paths_doc = _require_mapping(doc.get("paths"), "paths")
-    _reject_unknown(paths_doc, _PATH_KEYS, "paths.")
-
-    def _get_path(key):
-        value = paths_doc.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"config key 'paths.{key}' must be a string, got {value!r}")
-        return value
-
     return AppConfig(k=k, gbrt=gbrt, cascade=cascade, realisations=realisations,
-                     base_seed=base_seed, c_grid=c_grid,
-                     features_path=_get_path("features"),
-                     times_path=_get_path("times"), tasks_path=_get_path("tasks"))
+                     base_seed=base_seed, c_grid=c_grid)

@@ -150,25 +150,6 @@ class Corpus:
         return {t.task_id: t for t in self.tasks}
 
 
-@dataclass(frozen=True)
-class CompletionState:
-    """Which tasks have finished, and the resulting completion ratio."""
-
-    completed: tuple[str, ...]
-    c: float
-
-    @classmethod
-    def of(cls, completed: Sequence[str], total_tasks: int) -> "CompletionState":
-        ids = tuple(completed)
-        if len(set(ids)) != len(ids):
-            raise ValidationError("completed task list contains duplicates")
-        if total_tasks < 1:
-            raise ValidationError("total_tasks must be >= 1")
-        if len(ids) > total_tasks:
-            raise ValidationError("more completed tasks than the corpus contains")
-        return cls(completed=ids, c=len(ids) / total_tasks)
-
-
 def expand_tasks(clips: Sequence[Clip], encoders: Sequence[str],
                  presets: Sequence[str] = PRESETS,
                  cqps: Sequence[int] = CQPS) -> list[EncodeTask]:
@@ -198,10 +179,6 @@ def to_log_time(seconds: float) -> float:
     if not (seconds > 0.0):
         raise ValidationError(f"seconds must be positive, got {seconds}")
     return math.log(seconds)
-
-
-def from_log_time(y: float) -> float:
-    return math.exp(y)
 
 
 def _parse_row(reader: Iterable[list[str]], path, expected_header: list[str]):

@@ -283,10 +283,6 @@ def predict(model: GbrtModel, rows) -> np.ndarray:
     return out[0] if single else out
 
 
-def predict_row(model: GbrtModel, row) -> float:
-    return float(predict(model, np.asarray(row, dtype=np.float64)))
-
-
 def model_to_dict(model: GbrtModel) -> dict:
     return {
         "format": MODEL_FORMAT,

@@ -9,7 +9,6 @@ per-task and aggregate errors are scored in linear seconds.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,12 +17,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips, cluster_sizes_by_task
-from .corpus import CQPS, PRESETS, Clip, Corpus, TimeRecord, expand_tasks
+from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips
+from .corpus import CQPS, PRESETS, Clip, Corpus, TimeRecord, _fmt, expand_tasks
 from .errors import ValidationError
-from .gbrt import GbrtModel, GbrtParams, feature_matrix, predict, train
+from .gbrt import GbrtModel, GbrtParams, feature_matrix, train
 from .metrics import MetricReport, evaluate
-from .predictors import SYSTEMS, bp_predict, cp_predict, cxp_order, gxp_train_split
+from .predictors import SYSTEMS, cxp_order, gxp_train_split, predict_remaining
+
+# Nothing here calls these; perfbench/tracing.py wraps them as attributes
+# of this module, so they stay importable from it.
+from .gbrt import predict  # noqa: F401
+from .predictors import bp_predict, cp_predict  # noqa: F401
 
 # 2% increments, full completion excluded (nothing left to predict there)
 DEFAULT_C_GRID = tuple(i / 50.0 for i in range(1, 50))
@@ -205,16 +209,14 @@ def run_realization(corpus: Corpus, system: str, seed: int,
 
     N = len(order)
     t = _times_in_order(corpus, order)
-    X = feature_matrix(corpus, order)
-    logt = np.log(t)
-
-    labels = counts = None
+    rows = labels = None
     if system == "CP":
         tmap = corpus.task_map()
         labels = np.asarray([assignment.labels[tmap[tid].clip_id] for tid in order],
                             dtype=np.int64)
-        counts = cluster_sizes_by_task(assignment, corpus.tasks)
-    gxp_pred = np.exp(predict(gxp_model, X)) if system == "GXP" else None
+    elif system != "BP":
+        rows = feature_matrix(corpus, order)
+    model = gxp_model if system == "GXP" else gbrt_params
 
     per_c: dict[float, MetricReport] = {}
     for c in c_grid:
@@ -224,25 +226,8 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         if n_done < 1 and system != "GXP":
             raise ValidationError(
                 f"c={c}: floor(c*N)=0 completed tasks, {system} needs at least one")
-        actual = t[n_done:]
-
-        if system == "BP":
-            res = bp_predict(t[:n_done].tolist(), N)
-            predicted = np.full(N - n_done, res.t_bar)
-        elif system == "CP":
-            by_cluster: dict[int, list[float]] = {}
-            for j, sec in zip(labels[:n_done].tolist(), t[:n_done].tolist()):
-                by_cluster.setdefault(j, []).append(sec)
-            res = cp_predict(by_cluster, counts, N)
-            means = np.asarray([res.cluster_means[j] for j in range(assignment.k)])
-            predicted = means[labels[n_done:]]
-        elif system == "GXP":
-            predicted = gxp_pred[n_done:]
-        else:  # XP and CXP refit on everything completed so far
-            model = train(X[:n_done], logt[:n_done], gbrt_params)
-            predicted = np.exp(predict(model, X[n_done:]))
-
-        per_c[float(c)] = evaluate(actual, predicted)
+        res = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels, model=model)
+        per_c[float(c)] = evaluate(t[n_done:], res.t_hat)
     return RealizationResult(system=system, seed=seed, per_c=per_c)
 
 
@@ -331,10 +316,6 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
 # ---------------------------------------------------------------------------
 # persistence
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 @dataclass(frozen=True)
 class ReportRow:
     system: str
@@ -363,15 +344,6 @@ def write_report_csv(path, result: SweepResult) -> None:
         for row in report_rows(result):
             writer.writerow([row.system, _fmt(row.c), _fmt(row.mape),
                              _fmt(row.r2), _fmt(row.sape)])
-
-
-def write_report_json(path, result: SweepResult) -> None:
-    """The same rows as the CSV report, as a JSON array."""
-    doc = [{"system": r.system, "c": r.c, "mape": r.mape, "r2": r.r2, "sape": r.sape}
-           for r in report_rows(result)]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_realisations_csv(path, result: SweepResult) -> None:

@@ -6,12 +6,16 @@ are exp() of the model output and the aggregate is their sum; CXP differs
 from XP only in that the corpus is processed in cluster-stratified order.
 GXP is the generalised variant, trained once on held-out source groups
 instead of online.
+
+``predict_remaining`` is the one path from a completion state to a
+prediction; the Monte-Carlo sweep grades it and ``corpus-eta predict``
+ships it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,7 +23,7 @@ import numpy as np
 from .clustering import ClusterAssignment
 from .corpus import Corpus, to_log_time
 from .errors import PredictionError, ValidationError
-from .gbrt import GbrtModel, feature_matrix, predict
+from .gbrt import GbrtModel, GbrtParams, feature_matrix, predict, train
 
 SYSTEMS = ("BP", "CP", "XP", "CXP", "GXP")
 
@@ -28,10 +32,11 @@ SYSTEMS = ("BP", "CP", "XP", "CXP", "GXP")
 class AggregatePrediction:
     system: str
     c: float
-    t_hat: dict[str, float] | None  # per remaining task, when ids were supplied
+    t_hat: np.ndarray | None        # seconds per queued task, in processing order
     T_hat: float                    # predicted seconds for the remaining fraction
     t_bar: float | None = None                   # BP: the global mean
     cluster_means: dict[int, float] | None = None  # CP: per-cluster means
+    model: GbrtModel | None = None               # XP, CXP, GXP: the model used
 
 
 def _mean(times: Sequence[float]) -> float:
@@ -39,8 +44,7 @@ def _mean(times: Sequence[float]) -> float:
     return math.fsum(times) / len(times)
 
 
-def bp_predict(completed_times: Sequence[float], total_tasks: int,
-               remaining_ids: Sequence[str] | None = None) -> AggregatePrediction:
+def bp_predict(completed_times: Sequence[float], total_tasks: int) -> AggregatePrediction:
     """Progress-bar baseline: the mean completed time predicts every remaining task.
 
     The aggregate is (1 - c) * N * mean, the completed-fraction scaling rule
@@ -55,13 +59,11 @@ def bp_predict(completed_times: Sequence[float], total_tasks: int,
     c = n / total_tasks
     t_bar = _mean(completed_times)
     T_hat = (1.0 - c) * (total_tasks * t_bar)
-    t_hat = {tid: t_bar for tid in remaining_ids} if remaining_ids is not None else None
-    return AggregatePrediction(system="BP", c=c, t_hat=t_hat, T_hat=T_hat, t_bar=t_bar)
+    return AggregatePrediction(system="BP", c=c, t_hat=None, T_hat=T_hat, t_bar=t_bar)
 
 
 def cp_predict(completed_by_cluster: Mapping[int, Sequence[float]],
-               cluster_task_counts, total_tasks: int,
-               remaining_clusters: Mapping[str, int] | None = None) -> AggregatePrediction:
+               cluster_task_counts, total_tasks: int) -> AggregatePrediction:
     """Per-cluster running averages, aggregated as (1 - c) * sum_j M_j * mean_j.
 
     A cluster with no completed task yet falls back to the global mean of all
@@ -90,25 +92,69 @@ def cp_predict(completed_by_cluster: Mapping[int, Sequence[float]],
 
     weighted = math.fsum(int(counts[j]) * cluster_mean[j] for j in range(k))
     T_hat = (1.0 - c) * weighted
-
-    t_hat = None
-    if remaining_clusters is not None:
-        t_hat = {tid: cluster_mean[j] for tid, j in remaining_clusters.items()}
-    return AggregatePrediction(system="CP", c=c, t_hat=t_hat, T_hat=T_hat,
+    return AggregatePrediction(system="CP", c=c, t_hat=None, T_hat=T_hat,
                                cluster_means=dict(cluster_mean))
 
 
 def xp_predict(model: GbrtModel, remaining: Mapping[str, Sequence[float]],
                c: float = 0.0, system: str = "XP") -> AggregatePrediction:
-    """exp() the per-task model outputs and sum them for the aggregate."""
-    if not remaining:
+    """exp() the per-task model outputs and sum them for the aggregate.
+
+    t_hat follows the iteration order of ``remaining``.
+    """
+    return _model_total(model, np.asarray(list(remaining.values()), dtype=np.float64),
+                        c, system)
+
+
+def _model_total(model: GbrtModel, rows: np.ndarray, c: float,
+                 system: str) -> AggregatePrediction:
+    if len(rows) == 0:
         raise PredictionError("nothing remaining to predict")
-    ids = list(remaining)
-    rows = np.asarray([remaining[tid] for tid in ids], dtype=np.float64)
     per_task = np.exp(predict(model, rows))
-    t_hat = {tid: float(v) for tid, v in zip(ids, per_task)}
-    return AggregatePrediction(system=system, c=c, t_hat=t_hat,
-                               T_hat=math.fsum(per_task.tolist()))
+    return AggregatePrediction(system=system, c=c, t_hat=per_task,
+                               T_hat=math.fsum(per_task.tolist()), model=model)
+
+
+def predict_remaining(system: str, completed: Sequence[float], total_tasks: int, *,
+                      rows: np.ndarray | None = None,
+                      labels: Sequence[int] | None = None,
+                      model: GbrtModel | GbrtParams | None = None) -> AggregatePrediction:
+    """Predict every queued task, and their total, from a completion state.
+
+    Inputs follow the processing order: ``completed`` holds the seconds of
+    the first n tasks, and ``rows`` (feature rows, for XP, CXP and GXP) or
+    ``labels`` (cluster labels, for CP) cover all ``total_tasks`` tasks,
+    completed first. XP and CXP fit on the completed rows and their
+    log-seconds when ``model`` is a GbrtParams; a fitted model (always, for
+    GXP) is used as is. ``t_hat`` is set for every system.
+    """
+    if system not in SYSTEMS:
+        raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
+    seconds = np.asarray(completed, dtype=np.float64)
+    n = seconds.size
+    if system == "BP":
+        res = bp_predict(seconds.tolist(), total_tasks)
+        return replace(res, t_hat=np.full(total_tasks - n, res.t_bar))
+    if system == "CP":
+        if labels is None:
+            raise ValidationError("CP needs the tasks' cluster labels")
+        labels = np.asarray(labels, dtype=np.int64)
+        by_cluster: dict[int, list[float]] = {}
+        for j, sec in zip(labels[:n].tolist(), seconds.tolist()):
+            by_cluster.setdefault(j, []).append(sec)
+        counts = np.bincount(labels)
+        res = cp_predict(by_cluster, counts, total_tasks)
+        means = np.asarray([res.cluster_means[j] for j in range(counts.size)])
+        return replace(res, t_hat=means[labels[n:]])
+    if rows is None:
+        raise ValidationError(f"{system} needs the tasks' feature rows")
+    if isinstance(model, GbrtParams) and system != "GXP":
+        if n == 0:
+            raise PredictionError(f"{system} needs at least one completed task to train on")
+        model = train(rows[:n], np.log(seconds), model)
+    if not isinstance(model, GbrtModel):
+        raise ValidationError(f"{system} needs a trained model")
+    return _model_total(model, rows[n:], n / total_tasks, system)
 
 
 def cxp_order(corpus: Corpus, assignment: ClusterAssignment, seed: int) -> list[str]:

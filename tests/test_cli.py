@@ -254,14 +254,6 @@ class TestSimulate:
         assert main(SIM_BASE + ["--report-out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_format(self, tmp_path):
-        report = tmp_path / "report.json"
-        rc = main(SIM_BASE + ["--format", "json", "--report-out", str(report)])
-        assert rc == 0
-        doc = json.loads(report.read_text())
-        assert len(doc) == 4
-        assert set(doc[0]) == {"system", "c", "mape", "r2", "sape"}
-
     def test_comma_separated_systems(self, tmp_path):
         report = tmp_path / "report.csv"
         argv = [a for a in SIM_BASE if a not in ("BP", "CP")]

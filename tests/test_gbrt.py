@@ -10,8 +10,7 @@ from corpus_eta.corpus import Corpus, EncodeTask, expand_tasks
 from corpus_eta.errors import ValidationError
 from corpus_eta.gbrt import (FEATURE_NAMES, GbrtModel, GbrtParams, feature_matrix,
                              feature_row, load_model, model_from_dict,
-                             model_to_dict, predict, predict_row, save_model,
-                             train)
+                             model_to_dict, predict, save_model, train)
 
 from helpers import make_clip, make_corpus
 
@@ -142,7 +141,7 @@ class TestHandCases:
                                        learning_rate=0.4, min_samples_leaf=1))
         assert model.base_score == 3.25
         assert np.all(predict(model, X) == 3.25)
-        assert predict_row(model, [100.0, -100.0]) == 3.25
+        assert predict(model, [100.0, -100.0]) == 3.25
 
     def test_zero_trees_predict_the_mean(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -264,7 +263,7 @@ class TestPrediction:
         model = train(X, y, GbrtParams(num_trees=5, max_depth=2))
         batch = predict(model, X)
         for i, row in enumerate(X):
-            assert predict_row(model, row) == batch[i]
+            assert predict(model, row) == batch[i]
 
     def test_permutation_of_training_rows_changes_nothing(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,5 @@
 """Monte-Carlo evaluation harness: generation, realizations, sweeps, reports."""
 
-import json
 import math
 
 import numpy as np
@@ -13,8 +12,7 @@ from corpus_eta.harness import (DEFAULT_C_GRID, REALISATIONS_HEADER,
                                 REPORT_HEADER, SweepConfig, SynthSpec,
                                 default_time_law, load_report_csv, monte_carlo,
                                 report_rows, run_realization, synth_corpus,
-                                write_realisations_csv, write_report_csv,
-                                write_report_json)
+                                write_realisations_csv, write_report_csv)
 from corpus_eta.metrics import MetricReport
 
 from helpers import make_corpus, with_constant_times, with_random_times
@@ -345,19 +343,6 @@ class TestReports:
         write_report_csv(a, result)
         write_report_csv(b, result)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_json_report(self, tmp_path):
-        result = small_result()
-        path = tmp_path / "report.json"
-        write_report_json(path, result)
-        text = path.read_text()
-        assert text.endswith("\n")
-        doc = json.loads(text)
-        rows = report_rows(result)
-        assert len(doc) == len(rows)
-        for entry, row in zip(doc, rows):
-            assert entry == {"system": row.system, "c": row.c, "mape": row.mape,
-                             "r2": row.r2, "sape": row.sape}
 
     def test_realisations_csv(self, tmp_path):
         result = small_result()

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_eta.clustering import ClusterAssignment
 from corpus_eta.errors import PredictionError, ValidationError
-from corpus_eta.gbrt import GbrtParams, train
+from corpus_eta.gbrt import GbrtParams, model_to_dict, predict, train
 from corpus_eta.predictors import (DEFAULT_CASCADE, SYSTEMS, CascadePolicy,
                                    bp_predict, cascade_select, cp_predict,
-                                   cxp_order, gxp_train_split, xp_predict)
+                                   cxp_order, gxp_train_split, predict_remaining,
+                                   xp_predict)
 
 from helpers import make_clip, make_corpus, with_random_times
 
@@ -31,17 +34,18 @@ def assignment_for(labels, k):
 
 class TestBp:
     def test_two_of_four_hand_case(self):
-        pred = bp_predict([2.0, 4.0], 4, remaining_ids=["t2", "t3"])
+        pred = predict_remaining("BP", [2.0, 4.0], 4)
         assert pred.system == "BP"
         assert pred.c == 0.5
         assert pred.t_bar == 3.0
         assert pred.T_hat == 6.0
-        assert pred.t_hat == {"t2": 3.0, "t3": 3.0}
+        assert pred.t_hat.tolist() == [3.0, 3.0]
 
     def test_single_completed_task(self):
         pred = bp_predict([5.0], 2)
         assert pred.T_hat == 5.0
         assert pred.t_hat is None
+        assert predict_remaining("BP", [5.0], 2).t_hat.tolist() == [5.0]
 
     def test_constant_times_scale_with_remaining_count(self):
         pred = bp_predict([7.5, 7.5], 8)
@@ -92,18 +96,17 @@ class TestCp:
             total = int(rng.integers(2, 40))
             n = int(rng.integers(1, total))
             times = rng.uniform(0.01, 100.0, size=n).tolist()
-            ids = [f"t{i}" for i in range(n, total)]
-            bp = bp_predict(times, total, remaining_ids=ids)
-            cp = cp_predict({0: times}, [total], total,
-                            remaining_clusters={tid: 0 for tid in ids})
+            bp = predict_remaining("BP", times, total)
+            cp = predict_remaining("CP", times, total, labels=[0] * total)
             assert cp.T_hat == bp.T_hat
             assert cp.c == bp.c
-            assert cp.t_hat == bp.t_hat
+            assert cp.t_hat.tolist() == bp.t_hat.tolist()
 
     def test_per_task_values_follow_cluster_membership(self):
-        pred = cp_predict({0: [1.0], 1: [9.0, 11.0]}, [2, 3], 10,
-                          remaining_clusters={"a": 0, "b": 1, "c": 1})
-        assert pred.t_hat == {"a": 1.0, "b": 10.0, "c": 10.0}
+        # completed: labels 0, 1, 1; queued: labels 0, 1, 1
+        pred = predict_remaining("CP", [1.0, 9.0, 11.0], 6, labels=[0, 1, 1, 0, 1, 1])
+        assert pred.t_hat.tolist() == [1.0, 10.0, 10.0]
+        assert pred.T_hat == cp_predict({0: [1.0], 1: [9.0, 11.0]}, [2, 4], 6).T_hat
 
     def test_weighting_uses_task_counts_not_completions(self):
         # same completions, shifted counts -> different aggregate
@@ -131,7 +134,7 @@ class TestXp:
         remaining = {f"t{i}": [0.0] for i in range(5)}
         pred = xp_predict(model, remaining)
         assert pred.T_hat == 5.0
-        assert all(v == 1.0 for v in pred.t_hat.values())
+        assert pred.t_hat.tolist() == [1.0] * 5
 
     def test_log_two_prediction_gives_two_seconds(self):
         model = constant_model(math.log(2.0))
@@ -148,22 +151,69 @@ class TestXp:
         pred = xp_predict(model, remaining, c=0.25, system="CXP")
         assert pred.system == "CXP"
         assert pred.c == 0.25
-        from corpus_eta.gbrt import predict_row
-        per_task = {tid: math.exp(predict_row(model, row))
-                    for tid, row in remaining.items()}
+        per_task = [math.exp(predict(model, row)) for row in remaining.values()]
         # scalar libm exp and the vectorized exp may disagree in the last bit
-        for tid, v in per_task.items():
-            assert pred.t_hat[tid] == pytest.approx(v, rel=1e-15)
-        assert pred.T_hat == math.fsum(pred.t_hat[tid] for tid in remaining)
-        assert pred.T_hat == pytest.approx(
-            math.fsum(per_task[tid] for tid in remaining), rel=1e-12)
+        for got, v in zip(pred.t_hat.tolist(), per_task):
+            assert got == pytest.approx(v, rel=1e-15)
+        assert pred.T_hat == math.fsum(pred.t_hat.tolist())
+        assert pred.T_hat == pytest.approx(math.fsum(per_task), rel=1e-12)
 
     def test_empty_remaining_rejected(self):
         with pytest.raises(PredictionError, match="nothing remaining"):
             xp_predict(constant_model(0.0), {})
 
 
+class TestPredictRemaining:
+    """The one path from a completion state to per-task and total predictions."""
+
+    def test_xp_fits_on_the_completed_prefix(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(40, 3))
+        seconds = np.exp(rng.normal(size=40))
+        params = GbrtParams(num_trees=4, max_depth=2)
+        pred = predict_remaining("CXP", seconds[:15], 40, rows=X, model=params)
+        model = train(X[:15], np.log(seconds[:15]), params)
+        expected = xp_predict(model, {i: X[i] for i in range(15, 40)}, c=15 / 40,
+                              system="CXP")
+        assert pred.system == "CXP"
+        assert pred.c == expected.c
+        assert pred.T_hat == expected.T_hat
+        assert np.array_equal(pred.t_hat, expected.t_hat)
+        assert model_to_dict(pred.model) == model_to_dict(model)
+
+    def test_fitted_model_used_as_is(self):
+        model = constant_model(math.log(2.0), num_features=2)
+        pred = predict_remaining("GXP", [], 3, rows=np.zeros((3, 2)), model=model)
+        assert pred.c == 0.0
+        assert pred.t_hat.tolist() == pytest.approx([2.0] * 3, rel=1e-15)
+        assert pred.model is model
+
+    @pytest.mark.parametrize("system, completed, kwargs, message", [
+        ("CP", [1.0], {}, "CP needs the tasks' cluster labels"),
+        ("XP", [1.0], {"model": GbrtParams()}, "XP needs the tasks' feature rows"),
+        ("XP", [], {"rows": np.zeros((3, 2)), "model": GbrtParams()},
+         "XP needs at least one completed task"),
+        ("GXP", [1.0], {"rows": np.zeros((3, 2)), "model": GbrtParams()},
+         "GXP needs a trained model"),
+        ("QQ", [1.0], {}, "unknown system"),
+    ])
+    def test_missing_inputs_rejected(self, system, completed, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            predict_remaining(system, completed, 3, **kwargs)
+
+
 class TestCxpOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(0, 4), min_size=1, max_size=10),
+           extra_k=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_is_a_permutation_of_the_task_ids(self, labels, extra_k, seed):
+        corpus = make_corpus(n_clips=len(labels), presets=("medium", "veryslow"),
+                             cqps=(22, 37))
+        assignment = assignment_for(
+            {c.clip_id: j for c, j in zip(corpus.clips, labels)}, max(labels) + 1 + extra_k)
+        order = cxp_order(corpus, assignment, seed)
+        assert sorted(order) == sorted(t.task_id for t in corpus.tasks)
+
     def test_two_by_two_alternates_clusters(self):
         corpus = make_corpus(n_clips=2, presets=("medium",), cqps=(22, 27))
         a, b = (c.clip_id for c in corpus.clips)
