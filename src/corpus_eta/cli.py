@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 when input data or arguments fail validation,
-2 when something breaks at runtime (an encode fails, a file vanishes), and
-64 for malformed command lines.
+2 when something breaks at runtime (an encode fails, a file vanishes), 64
+for malformed command lines, and 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -303,7 +303,8 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="corpus-eta",
         description="Predict how long the rest of a video encode corpus will take.",
-        epilog="exit codes: 0 ok, 1 invalid input, 2 runtime failure, 64 usage")
+        epilog="exit codes: 0 ok, 1 invalid input, 2 runtime failure, 64 usage, "
+               "130 interrupted")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="validate corpus CSVs and expand the task grid")
@@ -385,7 +386,8 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="realisation-level processes")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="realisation worker processes (default: one per usable CPU)")
     p.add_argument("--report-out", required=True)
     p.add_argument("--realisations-out", default=None)
     p.add_argument("--corpus-out", default=None,
@@ -430,6 +432,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("corpus-eta: interrupted", file=sys.stderr)
+        return 130
     except EncodeError as exc:
         print(f"corpus-eta: error: {exc}", file=sys.stderr)
         return 2

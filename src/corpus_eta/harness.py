@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,7 +130,7 @@ class SweepConfig:
     k: int = DEFAULT_K
     gbrt: GbrtParams = field(default_factory=GbrtParams)
     test_groups: tuple[str, ...] = ()   # held-out source groups for GXP
-    jobs: int = 1
+    jobs: int | None = None             # worker processes; None: one per usable CPU
 
     def __post_init__(self):
         if not self.systems:
@@ -151,7 +153,7 @@ class SweepConfig:
             raise ValidationError("completion grid must be strictly increasing")
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.jobs < 1:
+        if self.jobs is not None and self.jobs < 1:
             raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
         if "GXP" in self.systems and not self.test_groups:
             raise ValidationError("GXP needs at least one held-out source group")
@@ -216,7 +218,11 @@ def run_realization(corpus: Corpus, system: str, seed: int,
                             dtype=np.int64)
     elif system != "BP":
         rows = feature_matrix(corpus, order)
-    model = gxp_model if system == "GXP" else gbrt_params
+    gxp_t_hat = None
+    if system == "GXP":
+        # the pre-trained model ignores the completed tasks, so one prediction
+        # of every held-out task serves each c-point
+        gxp_t_hat = predict_remaining("GXP", t[:0], N, rows=rows, model=gxp_model).t_hat
 
     per_c: dict[float, MetricReport] = {}
     for c in c_grid:
@@ -226,8 +232,12 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         if n_done < 1 and system != "GXP":
             raise ValidationError(
                 f"c={c}: floor(c*N)=0 completed tasks, {system} needs at least one")
-        res = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels, model=model)
-        per_c[float(c)] = evaluate(t[n_done:], res.t_hat)
+        if gxp_t_hat is not None:
+            t_hat = gxp_t_hat[n_done:]
+        else:
+            t_hat = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels,
+                                      model=gbrt_params).t_hat
+        per_c[float(c)] = evaluate(t[n_done:], t_hat)
     return RealizationResult(system=system, seed=seed, per_c=per_c)
 
 
@@ -255,12 +265,25 @@ _worker_context = None
 
 
 def _init_worker(context) -> None:
+    # Ctrl-C reaches the whole process group; only the parent acts on it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _worker_context
     _worker_context = context
 
 
 def _run_in_worker(job) -> RealizationResult:
     return _run_one(_worker_context, job)
+
+
+def _worker_count(jobs: int | None, n_jobs: int) -> int:
+    """Worker processes for n_jobs realisations: ``jobs``, or when it is None
+    one per CPU this process may use; never more than n_jobs."""
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            jobs = os.cpu_count() or 1
+    return min(jobs, n_jobs)
 
 
 def _mean_report(reports: Sequence[MetricReport]) -> MetricReport:
@@ -276,8 +299,11 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
     """Average every selected system over seeded random orderings.
 
     Realisation i uses seed base_seed + i for every system, so systems that
-    share the uniform ordering policy see identical orders. Results do not
-    depend on scheduling: seeds fix each realisation completely.
+    share the uniform ordering policy see identical orders. Realisations run
+    in ``config.jobs`` worker processes, by default one per CPU this process
+    may use; with one worker they run in this process. Results do not depend
+    on scheduling: seeds fix each realisation completely, and results are
+    reassembled in config order.
     """
     if corpus.times is None:
         raise ValidationError("corpus has no measured times")
@@ -297,10 +323,16 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
             for system in config.systems
             for i in range(config.num_realisations)]
 
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker,
-                                 initargs=(context,)) as pool:
+    workers = _worker_count(config.jobs, len(jobs))
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                   initargs=(context,))
+        try:
             results = list(pool.map(_run_in_worker, jobs))
+        finally:
+            # map cancels its queued jobs when abandoned; cancel_futures also
+            # covers a Ctrl-C that lands while map is still submitting them
+            pool.shutdown(cancel_futures=True)
     else:
         results = [_run_one(context, job) for job in jobs]
 

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, flows, and output formats."""
 
+import contextlib
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from corpus_eta import harness
 from corpus_eta.cli import main
 from corpus_eta.corpus import (TimeRecord, load_features_csv, load_times_csv,
                                save_features_csv, save_times_csv)
@@ -15,6 +21,7 @@ from corpus_eta.harness import load_report_csv
 from helpers import make_corpus, with_random_times
 
 PY = sys.executable
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_yuv(path, frames):
@@ -275,6 +282,64 @@ class TestSimulate:
         assert len(lines) == 1 + 2 * 2 * 2  # systems x realisations x grid
         assert (corpus_dir / "features.csv").exists()
         assert (corpus_dir / "times.csv").exists()
+
+    def test_default_jobs_match_serial_bytes(self, tmp_path, monkeypatch):
+        # two usable CPUs on any machine, so the default takes the pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pools = []
+        real_pool = harness.ProcessPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", counted_pool)
+        argv = ["simulate", "--synthetic", "--n-clips", "12", "--num-groups", "6",
+                "--systems", "BP,CP,XP,CXP,GXP", "--test-groups", "group4", "group5",
+                "--realisations", "3", "--c-grid", "0.25", "0.5", "--k", "3",
+                "--trees", "5", "--depth", "2", "--seed", "5"]
+        outputs = {}
+        for name, jobs in (("default", []), ("serial", ["--jobs", "1"])):
+            report, reals = tmp_path / f"{name}.csv", tmp_path / f"{name}-reals.csv"
+            assert main(argv + jobs + ["--report-out", str(report),
+                                       "--realisations-out", str(reals)]) == 0
+            outputs[name] = (report.read_bytes(), reals.read_bytes())
+        assert pools == [2]
+        assert outputs["default"] == outputs["serial"]
+
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
+        rc = main(SIM_BASE + ["--jobs", "0", "--report-out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+        argv = [PY, "-m", "corpus_eta.cli", "simulate", "--synthetic", "--n-clips", "60",
+                "--systems", "XP", "--realisations", "1000", "--c-grid", "0.5",
+                "--trees", "30", "--depth", "6", "--jobs", "2",
+                "--corpus-out", str(tmp_path / "corpus"),
+                "--report-out", str(tmp_path / "r.csv")]
+        # its own process group, which a terminal's Ctrl-C signals as a whole
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env, text=True, start_new_session=True)
+        try:
+            # the corpus is written just before the sweep starts its workers
+            assert proc.stdout.readline().startswith("wrote corpus CSVs")
+            time.sleep(1.0)
+            os.killpg(proc.pid, signal.SIGINT)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=10)
+            waited = time.monotonic() - sent
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 130
+        assert waited < 10
+        assert err.splitlines() == ["corpus-eta: interrupted"]
+        assert not (tmp_path / "r.csv").exists()
 
     def test_measured_corpus(self, corpus_files, tmp_path):
         _, features, times = corpus_files

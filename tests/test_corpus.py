@@ -1,12 +1,16 @@
 """Domain-type invariants, task expansion, the log-time transform, and CSV I/O."""
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from corpus_eta.corpus import (Clip, Corpus, EncodeTask, TimeRecord,
+from corpus_eta.corpus import (CQPS, PRESETS, Clip, Corpus, EncodeTask, TimeRecord,
                                expand_tasks, load_corpus,
                                load_features_csv, load_tasks_csv, load_times_csv,
                                save_corpus, save_features_csv, save_tasks_csv,
@@ -249,6 +253,47 @@ class TestCsvRoundTrip:
         assert loaded.clips == corpus.clips
         assert loaded.tasks == corpus.tasks
         assert loaded.times == corpus.times
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_save_then_load_corpus_is_exact(self, data):
+        # any text a CSV field can carry in UTF-8, commas, quotes and newlines too
+        text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+        clip_ids = data.draw(st.lists(text.filter(bool), min_size=1, max_size=4, unique=True))
+        features = st.floats(min_value=0.0, allow_nan=False)
+        clips = [Clip(clip_id=cid, width=data.draw(st.integers(1, 8192)),
+                      height=data.draw(st.integers(1, 8192)),
+                      framerate=Fraction(data.draw(st.integers(1, 240000)),
+                                         data.draw(st.integers(1, 1001))),
+                      num_frames=data.draw(st.integers(1, 10 ** 6)),
+                      E=data.draw(features), h=data.draw(features),
+                      luma=data.draw(st.floats(0.0, 255.0)),
+                      source_group=data.draw(text))
+                 for cid in clip_ids]
+        tasks = expand_tasks(
+            clips, data.draw(st.lists(text.filter(bool), min_size=1, max_size=2, unique=True)),
+            data.draw(st.lists(st.sampled_from(PRESETS), min_size=1, unique=True)),
+            data.draw(st.lists(st.sampled_from(CQPS), min_size=1, unique=True)))
+        ids = [t.task_id for t in tasks]
+        assume(len(set(ids)) == len(ids))   # ':' inside ids can make two collide
+        seconds = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+        times = {tid: TimeRecord(tid, data.draw(seconds))
+                 for tid in ids if data.draw(st.booleans())}
+        corpus = Corpus(clips=tuple(clips), tasks=tuple(tasks), times=times)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / name for name in ("f.csv", "k.csv", "t.csv")]
+            save_corpus(corpus, *paths)
+            loaded = load_corpus(paths[0], tasks_path=paths[1], times_path=paths[2])
+
+        def bits(clip):   # float.hex tells -0.0 from 0.0, which == does not
+            return (clip.E.hex(), clip.h.hex(), clip.luma.hex())
+
+        assert loaded.clips == corpus.clips
+        assert [bits(c) for c in loaded.clips] == [bits(c) for c in clips]
+        assert loaded.tasks == corpus.tasks
+        assert {tid: r.seconds.hex() for tid, r in loaded.times.items()} == \
+            {tid: r.seconds.hex() for tid, r in times.items()}
 
     def test_save_is_byte_stable(self, tmp_path):
         clips = make_clips(4)

@@ -1,10 +1,15 @@
 """Monte-Carlo evaluation harness: generation, realizations, sweeps, reports."""
 
 import math
+import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from corpus_eta import harness
 from corpus_eta.clustering import cluster_clips
 from corpus_eta.errors import ValidationError
 from corpus_eta.gbrt import GbrtParams, feature_matrix
@@ -19,6 +24,15 @@ from helpers import make_corpus, with_constant_times, with_random_times
 
 SMALL_GBRT = GbrtParams(num_trees=5, max_depth=2, learning_rate=0.3,
                         min_samples_leaf=2)
+
+
+def _interrupt_self() -> str:
+    try:
+        os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.2)   # the handler runs here, if there is one
+    except KeyboardInterrupt:
+        return "interrupted"
+    return "ignored"
 
 
 def tiny_corpus(n_clips=5, seed=0):
@@ -227,6 +241,7 @@ class TestSweepConfig:
         assert len(DEFAULT_C_GRID) == 49
         assert DEFAULT_C_GRID[0] == 0.02
         assert DEFAULT_C_GRID[-1] == 0.98
+        assert config.jobs is None
 
     @pytest.mark.parametrize("kwargs,msg", [
         (dict(systems=()), "no systems"),
@@ -305,6 +320,39 @@ class TestMonteCarlo:
         parallel = monte_carlo(corpus, SweepConfig(jobs=2, **base))
         assert serial.mean == parallel.mean
         assert serial.realisations == parallel.realisations
+
+    def test_worker_count_is_usable_cpus_capped_at_jobs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [harness._worker_count(None, n) for n in (1, 2, 3, 10)] == [1, 2, 3, 3]
+        assert [harness._worker_count(2, n) for n in (1, 2, 10)] == [1, 2, 2]
+
+    def test_worker_count_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert harness._worker_count(None, 10) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._worker_count(None, 10) == 1
+
+    def test_workers_ignore_ctrl_c(self):
+        # a terminal's Ctrl-C signals every worker too; only the parent acts on it
+        with ProcessPoolExecutor(max_workers=1, initializer=harness._init_worker,
+                                 initargs=(None,)) as pool:
+            assert pool.submit(_interrupt_self).result(timeout=30) == "ignored"
+
+    def test_single_worker_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a ProcessPoolExecutor was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        corpus = tiny_corpus(n_clips=3)
+        base = dict(systems=("BP",), c_grid=(0.5,))
+        one_job = monte_carlo(corpus, SweepConfig(num_realisations=1, **base))
+        assert len(one_job.realisations) == 1
+        serial = monte_carlo(corpus, SweepConfig(num_realisations=2, jobs=1, **base))
+        assert len(serial.realisations) == 2
+        with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
+            monte_carlo(corpus, SweepConfig(num_realisations=2, **base))
 
     def test_corpus_without_times_rejected(self):
         with pytest.raises(ValidationError, match="no measured times"):
