@@ -9,8 +9,8 @@ Run:  python3 demos/clustering_walkthrough.py
 
 import numpy as np
 
-from corpus_eta.clustering import (clip_feature_matrix, cluster_clips,
-                                   cluster_sizes_by_task, kmeans, standardize)
+from corpus_eta.clustering import (clip_feature_matrix, cluster_clips, kmeans,
+                                   standardize, task_labels)
 from corpus_eta.harness import SynthSpec, synth_corpus
 
 
@@ -19,7 +19,7 @@ def main():
     print(f"corpus: {len(corpus.clips)} clips, {len(corpus.tasks)} encode tasks")
 
     raw = clip_feature_matrix(corpus.clips)
-    std, _ = standardize(corpus.clips)
+    std = standardize(corpus.clips)
     print("feature ranges before/after standardization (height column):")
     print(f"  raw  {raw[:, 0].min():8.1f} .. {raw[:, 0].max():8.1f}")
     print(f"  std  {std[:, 0].min():8.3f} .. {std[:, 0].max():8.3f}\n")
@@ -31,7 +31,7 @@ def main():
               f"after {result.n_iter} iterations")
 
     assignment = cluster_clips(corpus.clips, k=6, seed=0)
-    sizes = cluster_sizes_by_task(assignment, corpus.tasks)
+    sizes = np.bincount(task_labels(assignment, corpus.tasks), minlength=assignment.k)
     print("\nkept k=6; tasks per cluster:")
     for j, count in enumerate(sizes):
         members = sum(1 for lab in assignment.labels.values() if lab == j)

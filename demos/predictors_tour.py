@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from corpus_eta.clustering import cluster_clips, cluster_sizes_by_task
+from corpus_eta.clustering import cluster_clips, task_labels
 from corpus_eta.gbrt import GbrtParams, feature_matrix, train
 from corpus_eta.harness import SynthSpec, run_realization, synth_corpus
 from corpus_eta.predictors import bp_predict, cp_predict, cxp_order, xp_predict
@@ -35,11 +35,12 @@ def main():
           f"{bp.T_hat:12,.0f} s ({100 * (bp.T_hat / truth - 1):+6.1f}%)")
 
     assignment = cluster_clips(corpus.clips, k=6, seed=0)
-    counts = cluster_sizes_by_task(assignment, corpus.tasks)
+    counts = np.bincount(task_labels(assignment, corpus.tasks), minlength=assignment.k)
     by_cluster = {j: [] for j in range(assignment.k)}
     task_map = corpus.task_map()
-    for tid in done:
-        by_cluster[assignment.labels[task_map[tid].clip_id]].append(seconds[tid])
+    done_labels = task_labels(assignment, [task_map[tid] for tid in done])
+    for tid, label in zip(done, done_labels.tolist()):
+        by_cluster[label].append(seconds[tid])
     cp = cp_predict(by_cluster, counts, total)
     print(f"CP   keeps one mean per complexity cluster:    "
           f"{cp.T_hat:12,.0f} s ({100 * (cp.T_hat / truth - 1):+6.1f}%)")
@@ -55,7 +56,7 @@ def main():
 
     balanced = cxp_order(corpus, assignment, seed=99)
     print(f"\nCXP reorders the queue so early tasks cover all clusters;")
-    first = [assignment.labels[task_map[tid].clip_id] for tid in balanced[:12]]
+    first = task_labels(assignment, [task_map[tid] for tid in balanced[:12]]).tolist()
     print(f"cluster labels of the first 12 tasks under that order: {first}")
 
     print("\nPrediction error (SAPE %) as the batch completes:")

@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import complexity, corpus as corpus_mod
-from .clustering import DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv
+from .clustering import (DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv,
+                         task_labels)
 from .config import AppConfig, load_config
 from .corpus import DEFAULT_ENCODERS, Clip, load_corpus, load_features_csv, save_corpus
 from .errors import CorpusEtaError, EncodeError, ValidationError
@@ -213,33 +214,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _predict_common(args, corpus, system: str, config: AppConfig, done, queued):
-    """One-shot prediction: the completed tasks in corpus order, then the queued ones."""
-    if not queued:
-        raise ValidationError("every task already has a measured time; nothing to predict")
-    order = done + queued
-    rows = labels = model = None
-    if system == "CP":
-        k = config.k if args.k is None else args.k
-        assignment = cluster_clips(corpus.clips, k=k, seed=args.seed)
-        labels = [assignment.labels[t.clip_id] for t in order]
-    elif system != "BP":
-        if args.model_in is not None:
-            model = load_model(args.model_in)
-        elif system == "GXP":
-            raise ValidationError("GXP predicts with a model trained elsewhere; "
-                                  "pass --model-in")
-        else:
-            model = _gbrt_params(args, config)
-        rows = feature_matrix(corpus, [t.task_id for t in order])
-    result = predict_remaining(system, [corpus.times[t.task_id].seconds for t in done],
-                               corpus.N, rows=rows, labels=labels, model=model)
-    if args.model_out is not None and result.model is not None:
-        save_model(args.model_out, result.model)
-    return result
-
-
 def cmd_predict(args) -> int:
+    """One-shot prediction: the completed tasks in corpus order, then the queued ones."""
     config = load_config(args.config)
     corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
                          encoders=args.encoders)
@@ -250,8 +226,27 @@ def cmd_predict(args) -> int:
     system = args.system
     if system is None:
         system = cascade_select(config.cascade, len(done) / corpus.N)
+    if not queued:
+        raise ValidationError("every task already has a measured time; nothing to predict")
 
-    result = _predict_common(args, corpus, system, config, done, queued)
+    order = done + queued
+    rows = labels = model = None
+    if system == "CP":
+        k = config.k if args.k is None else args.k
+        labels = task_labels(cluster_clips(corpus.clips, k=k, seed=args.seed), order)
+    elif system != "BP":
+        if args.model_in is not None:
+            model = load_model(args.model_in)
+        elif system == "GXP":
+            raise ValidationError("GXP predicts with a model trained elsewhere; "
+                                  "pass --model-in")
+        else:
+            model = _gbrt_params(args, config)
+        rows = feature_matrix(corpus, [t.task_id for t in order])
+    result = predict_remaining(system, [times[t.task_id].seconds for t in done],
+                               corpus.N, rows=rows, labels=labels, model=model)
+    if args.model_out is not None and result.model is not None:
+        save_model(args.model_out, result.model)
 
     if args.per_task_out is not None:
         with open(args.per_task_out, "w", newline="", encoding="utf-8") as fh:

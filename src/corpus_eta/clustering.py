@@ -1,8 +1,9 @@
 """K-means stratification of clips on standardized property + complexity features.
 
 Clips are clustered once, up front; every encode task inherits the label of
-its clip.  The cluster structure feeds the per-cluster statistical predictor
-and the cluster-stratified processing order.
+its clip, and ``task_labels`` is the one place that applies that rule.  The
+labels feed the per-cluster statistical predictor (CP) and the
+cluster-stratified processing order (CXP).
 """
 
 from __future__ import annotations
@@ -21,13 +22,8 @@ CLUSTER_FEATURES = ("height", "num_pixels", "framerate", "num_frames", "E", "h",
 
 DEFAULT_K = 10
 
-
-@dataclass(frozen=True)
-class StandardizationParams:
-    """Per-feature mean and stddev; constant features get stddev 1."""
-
-    mean: np.ndarray
-    std: np.ndarray
+# Restarts per kmeans call; the run with the lowest final objective wins.
+N_INIT = 10
 
 
 @dataclass(frozen=True)
@@ -46,24 +42,16 @@ def clip_feature_matrix(clips: Sequence[Clip]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def standardize(clips: Sequence[Clip]) -> tuple[np.ndarray, StandardizationParams]:
-    """Z-score the clip feature matrix column-wise."""
+def standardize(clips: Sequence[Clip]) -> np.ndarray:
+    """Z-score the clip feature matrix column-wise (population std, ddof=0).
+
+    A constant column has std 0; it is divided by 1 instead, so it maps to 0.
+    """
     if not clips:
         raise ValidationError("standardize: no clips")
     matrix = clip_feature_matrix(clips)
-    params = standardization_params(matrix)
-    return apply_standardization(matrix, params), params
-
-
-def standardization_params(matrix: np.ndarray) -> StandardizationParams:
-    mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return StandardizationParams(mean=mean, std=std)
-
-
-def apply_standardization(matrix: np.ndarray, params: StandardizationParams) -> np.ndarray:
-    return (matrix - params.mean) / params.std
+    return (matrix - matrix.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
 
 
 def _sse(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -107,9 +95,16 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
             empty = np.nonzero(np.bincount(new_labels, minlength=k) == 0)[0]
             if empty.size == 0:
                 break
-            j = int(empty[0])
             own = np.sum((points - centroids[new_labels]) ** 2, axis=1)
             farthest = int(np.argmax(own))
+            if own[farthest] == 0.0:
+                # Every point sits on its centroid, which takes fewer than k
+                # distinct points: the objective is 0, its minimum.  Moving a
+                # duplicate point here would only swap labels back and forth,
+                # because a mean of duplicates can round one ulp off them.
+                sse_history.append(0.0)
+                return new_labels, centroids, sse_history, iteration
+            j = int(empty[0])
             new_labels[farthest] = j
             centroids[j] = points[farthest]
 
@@ -126,15 +121,19 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 300,
-           ids: Sequence[str] | None = None, n_init: int = 10) -> ClusterAssignment:
+           ids: Sequence[str] | None = None) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding; deterministic for a fixed seed.
 
-    Runs n_init independent restarts off one seeded stream and keeps the run
+    Runs N_INIT independent restarts off one seeded stream and keeps the run
     with the lowest final objective, which makes small instances land on the
     global optimum almost always.  Within a run, iteration stops when the
     assignment stabilizes or after max_iters.  An empty cluster is refilled
-    with the point farthest from its own centroid (that cluster's centroid is
-    recentred on the point, so the objective still never increases).
+    with the point farthest from its own centroid, and that cluster's
+    centroid is recentred on the point (so the objective still never
+    increases, up to rounding).  With fewer than k distinct points the
+    seeding already puts a centroid on every distinct point: the first
+    assignment has objective 0 and leaves clusters empty, and each run stops
+    there, so such input ends with empty clusters (size 0).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -148,12 +147,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 300,
         raise ValidationError(f"got {len(ids)} ids for {n} points")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-    if n_init < 1:
-        raise ValidationError(f"n_init must be >= 1, got {n_init}")
 
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         run = _lloyd(points, k, rng, max_iters)
         if best is None or run[2][-1] < best[2][-1]:
             best = run
@@ -168,25 +165,23 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 300,
                              n_iter=iteration)
 
 
-def cluster_clips(clips: Sequence[Clip], k: int = DEFAULT_K, seed: int = 0,
-                  max_iters: int = 300) -> ClusterAssignment:
+def cluster_clips(clips: Sequence[Clip], k: int = DEFAULT_K,
+                  seed: int = 0) -> ClusterAssignment:
     """Standardize the clip features and cluster; labels are keyed by clip_id."""
-    matrix, _ = standardize(clips)
-    return kmeans(matrix, k, seed, max_iters=max_iters,
-                  ids=[c.clip_id for c in clips])
+    return kmeans(standardize(clips), k, seed, ids=[c.clip_id for c in clips])
 
 
-def cluster_sizes_by_task(assignment: ClusterAssignment,
-                          tasks: Sequence[EncodeTask]) -> np.ndarray:
-    """Task count per cluster; every task inherits its clip's label."""
-    sizes = np.zeros(assignment.k, dtype=np.int64)
-    for task in tasks:
+def task_labels(assignment: ClusterAssignment,
+                tasks: Sequence[EncodeTask]) -> np.ndarray:
+    """Cluster label of each task, in order: every task inherits its clip's label."""
+    labels = np.empty(len(tasks), dtype=np.int64)
+    for i, task in enumerate(tasks):
         label = assignment.labels.get(task.clip_id)
         if label is None:
             raise ValidationError(
                 f"task {task.task_id!r}: clip {task.clip_id!r} has no cluster label")
-        sizes[label] += 1
-    return sizes
+        labels[i] = label
+    return labels
 
 
 def save_clusters_csv(path, assignment: ClusterAssignment) -> None:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips
+from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips, task_labels
 from .corpus import CQPS, PRESETS, Clip, Corpus, TimeRecord, _fmt, expand_tasks
 from .errors import ValidationError
 from .gbrt import GbrtModel, GbrtParams, feature_matrix, train
@@ -214,8 +214,7 @@ def run_realization(corpus: Corpus, system: str, seed: int,
     rows = labels = None
     if system == "CP":
         tmap = corpus.task_map()
-        labels = np.asarray([assignment.labels[tmap[tid].clip_id] for tid in order],
-                            dtype=np.int64)
+        labels = task_labels(assignment, [tmap[tid] for tid in order])
     elif system != "BP":
         rows = feature_matrix(corpus, order)
     gxp_t_hat = None

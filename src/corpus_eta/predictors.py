@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import ClusterAssignment
+from .clustering import ClusterAssignment, task_labels
 from .corpus import Corpus, to_log_time
 from .errors import PredictionError, ValidationError
 from .gbrt import GbrtModel, GbrtParams, feature_matrix, predict, train
@@ -126,7 +126,9 @@ def predict_remaining(system: str, completed: Sequence[float], total_tasks: int,
     ``labels`` (cluster labels, for CP) cover all ``total_tasks`` tasks,
     completed first. XP and CXP fit on the completed rows and their
     log-seconds when ``model`` is a GbrtParams; a fitted model (always, for
-    GXP) is used as is. ``t_hat`` is set for every system.
+    GXP) is used as is. ``t_hat`` is set for every system. Rows or labels
+    that do not cover exactly ``total_tasks`` tasks, and negative labels,
+    raise ValidationError.
     """
     if system not in SYSTEMS:
         raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
@@ -139,6 +141,11 @@ def predict_remaining(system: str, completed: Sequence[float], total_tasks: int,
         if labels is None:
             raise ValidationError("CP needs the tasks' cluster labels")
         labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (total_tasks,):
+            raise ValidationError(
+                f"CP needs one cluster label per task: got {labels.size} for {total_tasks}")
+        if (labels < 0).any():
+            raise ValidationError(f"cluster labels must be >= 0, got {labels.min()}")
         by_cluster: dict[int, list[float]] = {}
         for j, sec in zip(labels[:n].tolist(), seconds.tolist()):
             by_cluster.setdefault(j, []).append(sec)
@@ -148,6 +155,9 @@ def predict_remaining(system: str, completed: Sequence[float], total_tasks: int,
         return replace(res, t_hat=means[labels[n:]])
     if rows is None:
         raise ValidationError(f"{system} needs the tasks' feature rows")
+    if len(rows) != total_tasks:
+        raise ValidationError(
+            f"{system} needs one feature row per task: got {len(rows)} for {total_tasks}")
     if isinstance(model, GbrtParams) and system != "GXP":
         if n == 0:
             raise PredictionError(f"{system} needs at least one completed task to train on")
@@ -165,11 +175,7 @@ def cxp_order(corpus: Corpus, assignment: ClusterAssignment, seed: int) -> list[
     clusters are skipped.
     """
     buckets: list[list[str]] = [[] for _ in range(assignment.k)]
-    for task in corpus.tasks:
-        label = assignment.labels.get(task.clip_id)
-        if label is None:
-            raise ValidationError(
-                f"task {task.task_id!r}: clip {task.clip_id!r} has no cluster label")
+    for task, label in zip(corpus.tasks, task_labels(assignment, corpus.tasks).tolist()):
         buckets[label].append(task.task_id)
 
     rng = np.random.default_rng(seed)

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus_eta.clustering import (CLUSTER_FEATURES, ClusterAssignment,
-                                   apply_standardization, clip_feature_matrix,
-                                   cluster_clips, cluster_sizes_by_task, kmeans,
+from corpus_eta import clustering
+from corpus_eta.clustering import (CLUSTER_FEATURES, N_INIT, ClusterAssignment,
+                                   clip_feature_matrix, cluster_clips, kmeans,
                                    save_centroids_csv, save_clusters_csv,
-                                   standardization_params, standardize)
+                                   standardize, task_labels)
 from corpus_eta.corpus import expand_tasks
 from corpus_eta.errors import ValidationError
 
@@ -48,31 +50,29 @@ def two_blobs(rng, n_per=6, gap=50.0):
 
 class TestStandardize:
     def test_two_point_column_maps_to_unit_scores(self):
+        # mean 2, population std 1
         clips = [make_clip("a", E=1.0), make_clip("b", E=3.0)]
-        matrix, params = standardize(clips)
+        matrix = standardize(clips)
         col = CLUSTER_FEATURES.index("E")
         assert matrix[0, col] == -1.0
         assert matrix[1, col] == 1.0
-        assert params.mean[col] == 2.0
-        assert params.std[col] == 1.0
 
     def test_constant_columns_map_to_zero(self):
         clips = [make_clip("a", E=1.0), make_clip("b", E=3.0)]
-        matrix, _ = standardize(clips)
+        matrix = standardize(clips)
         col = CLUSTER_FEATURES.index("E")
         other = [i for i in range(len(CLUSTER_FEATURES)) if i != col]
         assert np.all(matrix[:, other] == 0.0)
 
     def test_single_clip_maps_to_all_zeros(self):
-        matrix, params = standardize([make_clip("a")])
-        assert np.all(matrix == 0.0)
-        assert np.all(params.std == 1.0)
+        # every column is constant; a std of 0 must not turn into NaN
+        assert np.all(standardize([make_clip("a")]) == 0.0)
 
     def test_population_scale_used(self):
-        # ddof=0: std of {0, 0, 3, 3} is 1.5, not sqrt(3)
+        # ddof=0: std of {0, 0, 3, 3} is 1.5, not sqrt(3), so the scores are +-1
         clips = [make_clip(f"c{i}", h=v) for i, v in enumerate([0.0, 0.0, 3.0, 3.0])]
-        params = standardization_params(clip_feature_matrix(clips))
-        assert params.std[CLUSTER_FEATURES.index("h")] == 1.5
+        col = standardize(clips)[:, CLUSTER_FEATURES.index("h")]
+        assert col.tolist() == [-1.0, -1.0, 1.0, 1.0]
 
     def test_feature_matrix_column_order(self):
         clip = make_clip("a", width=1280, height=720, framerate=25,
@@ -80,12 +80,10 @@ class TestStandardize:
         row = clip_feature_matrix([clip])[0]
         assert row.tolist() == [720.0, 1280.0 * 720.0, 25.0, 100.0, 7.0, 3.0, 99.0]
 
-    def test_apply_roundtrip(self):
-        clips = make_clips(5, rng=np.random.default_rng(0))
-        matrix = clip_feature_matrix(clips)
-        params = standardization_params(matrix)
-        z = apply_standardization(matrix, params)
-        assert np.allclose(z * params.std + params.mean, matrix, rtol=1e-12)
+    def test_columns_have_zero_mean_and_unit_std(self):
+        z = standardize(make_clips(5, rng=np.random.default_rng(0)))
+        assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(z.std(axis=0), 1.0, rtol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="no clips"):
@@ -176,6 +174,63 @@ class TestKmeans:
         assert a.n_iter == 1
         assert len(a.sse_per_iter) == 1
 
+    @pytest.mark.parametrize("values,k,sizes", [
+        ([0.1] * 4, 2, [4, 0]),
+        ([0.1, 0.7, 0.7, 0.7], 3, [3, 1, 0]),
+        ([0.1] * 4, 4, [4, 0, 0, 0]),
+    ])
+    def test_fewer_distinct_points_than_k_settles(self, values, k, sizes):
+        # The mean of three 0.1s (or 0.7s) rounds one ulp off them, and an
+        # empty-cluster refill used to swap duplicates back and forth until
+        # max_iters in every restart.
+        pts = np.asarray(values).reshape(-1, 1)
+        rng = np.random.default_rng(0)
+        for _ in range(N_INIT):
+            _, _, sse, iters = clustering._lloyd(pts, k, rng, 300)
+            assert iters == 1
+            assert sse == [0.0]
+        a = kmeans(pts, k, seed=0)
+        assert a.n_iter == 1
+        assert a.sse_per_iter == (0.0,)
+        assert a.sizes.tolist() == sizes
+        labels = [a.labels[str(i)] for i in range(len(values))]
+        # one cluster per distinct value: the optimum, objective 0
+        assert len(set(zip(values, labels))) == len(set(values)) == len(set(labels))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_restart_settles_on_duplicate_heavy_input(self, data):
+        pool = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+        n = data.draw(st.integers(1, 12))
+        pts = np.asarray(data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                            max_size=n))).reshape(-1, 1)
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(N_INIT):
+            assert clustering._lloyd(pts, k, rng, 300)[3] < 300
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_objective_never_increases_beyond_rounding(self, data):
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 3))
+        pool = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
+                                  min_size=1, max_size=n))
+        pts = np.asarray(data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                            max_size=n)))
+        k = data.draw(st.integers(1, n))
+        a = kmeans(pts, k, seed=data.draw(st.integers(0, 2**32 - 1)))
+        s = a.sse_per_iter
+        # An exact Lloyd step never raises the objective, but a centroid is a
+        # rounded mean: the mean of duplicate points can land an ulp off
+        # them, which lifts an objective of 0 to about 1e-30.  The allowance
+        # bounds that rounding: (n * eps)^2 of the points' squared norms,
+        # plus n * eps relative to the objective itself for the summation.
+        eps = np.finfo(np.float64).eps
+        scale = float(np.sum(pts ** 2))
+        for before, after in zip(s, s[1:]):
+            assert after <= before + n * eps * (before + n * eps * scale)
+
     @pytest.mark.parametrize("k,n,msg", [
         (0, 4, "k must be >= 1"),
         (5, 4, "exceeds the number of points"),
@@ -218,7 +273,28 @@ class TestClusterClips:
         assert set(a.labels) == {c.clip_id for c in clips}
 
 
+def task_counts(assignment, tasks):
+    return np.bincount(task_labels(assignment, tasks), minlength=assignment.k).tolist()
+
+
+class TestTaskLabels:
+    def test_labels_follow_task_order(self):
+        clips = [make_clip("a"), make_clip("b"), make_clip("c")]
+        tasks = expand_tasks(clips, encoders=("x264",), presets=("medium",),
+                             cqps=(22, 27))
+        assignment = ClusterAssignment(k=3, labels={"a": 0, "b": 2, "c": 1},
+                                       centroids=np.zeros((3, 7)),
+                                       sizes=np.array([1, 1, 1]),
+                                       sse_per_iter=(0.0,), n_iter=1)
+        labels = task_labels(assignment, tasks)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [0, 0, 2, 2, 1, 1]
+        assert task_labels(assignment, tasks[::-1]).tolist() == [1, 1, 2, 2, 0, 0]
+
+
 class TestClusterSizesByTask:
+    """Tasks per cluster, counted from task_labels."""
+
     def test_counts_tasks_not_clips(self):
         clips = [make_clip("a"), make_clip("b")]
         tasks = expand_tasks(clips, encoders=("x264",),
@@ -229,7 +305,7 @@ class TestClusterSizesByTask:
                                        centroids=np.zeros((1, 7)),
                                        sizes=np.array([2]),
                                        sse_per_iter=(0.0,), n_iter=1)
-        assert cluster_sizes_by_task(assignment, tasks).tolist() == [24]
+        assert task_counts(assignment, tasks) == [24]
 
     def test_splits_across_clusters(self):
         clips = [make_clip("a"), make_clip("b"), make_clip("c")]
@@ -239,14 +315,15 @@ class TestClusterSizesByTask:
                                        centroids=np.zeros((3, 7)),
                                        sizes=np.array([1, 0, 2]),
                                        sse_per_iter=(0.0,), n_iter=1)
-        assert cluster_sizes_by_task(assignment, tasks).tolist() == [2, 0, 4]
+        assert task_counts(assignment, tasks) == [2, 0, 4]
 
     def test_no_tasks_gives_zero_counts(self):
         assignment = ClusterAssignment(k=2, labels={"a": 0},
                                        centroids=np.zeros((2, 7)),
                                        sizes=np.array([1, 0]),
                                        sse_per_iter=(0.0,), n_iter=1)
-        assert cluster_sizes_by_task(assignment, []).tolist() == [0, 0]
+        assert task_labels(assignment, []).shape == (0,)
+        assert task_counts(assignment, []) == [0, 0]
 
     def test_unlabeled_clip_rejected(self):
         clips = [make_clip("a"), make_clip("mystery")]
@@ -256,8 +333,9 @@ class TestClusterSizesByTask:
                                        centroids=np.zeros((1, 7)),
                                        sizes=np.array([1]),
                                        sse_per_iter=(0.0,), n_iter=1)
-        with pytest.raises(ValidationError, match="has no cluster label"):
-            cluster_sizes_by_task(assignment, tasks)
+        with pytest.raises(ValidationError,
+                           match="clip 'mystery' has no cluster label"):
+            task_labels(assignment, tasks)
 
 
 class TestClusterCsv:

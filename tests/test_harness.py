@@ -304,6 +304,14 @@ class TestMonteCarlo:
         result = monte_carlo(corpus, config)  # no assignment passed
         assert ("CP", 0.5) in result.mean
 
+    def test_cp_with_an_unlabeled_clip_rejected(self):
+        corpus = tiny_corpus(n_clips=4)
+        partial = cluster_clips(corpus.clips[:3], k=2, seed=0)
+        config = SweepConfig(systems=("CP",), num_realisations=1, c_grid=(0.5,), jobs=1)
+        missing = corpus.clips[3].clip_id
+        with pytest.raises(ValidationError, match=f"clip '{missing}' has no cluster label"):
+            monte_carlo(corpus, config, assignment=partial)
+
     def test_gxp_flow(self):
         corpus = tiny_corpus(n_clips=6)
         config = SweepConfig(systems=("GXP",), num_realisations=2,

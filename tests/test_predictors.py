@@ -1,5 +1,6 @@
 """Prediction systems checked against hand-worked sums and reference recursions."""
 
+import bisect
 import math
 
 import numpy as np
@@ -201,6 +202,22 @@ class TestPredictRemaining:
         with pytest.raises(ValidationError, match=message):
             predict_remaining(system, completed, 3, **kwargs)
 
+    @pytest.mark.parametrize("num_labels", [5, 12])
+    def test_cp_labels_must_cover_every_task(self, num_labels):
+        labels = [0, 1] * (num_labels // 2) + [0] * (num_labels % 2)
+        with pytest.raises(ValidationError,
+                           match=f"one cluster label per task: got {num_labels} for 10"):
+            predict_remaining("CP", [1.0, 2.0], 10, labels=labels)
+
+    def test_rows_must_cover_every_task(self):
+        with pytest.raises(ValidationError, match="one feature row per task: got 10 for 5"):
+            predict_remaining("XP", [1.0, 2.0, 3.0], 5, rows=np.zeros((10, 2)),
+                              model=GbrtParams(num_trees=2, max_depth=1))
+
+    def test_negative_cluster_label_rejected(self):
+        with pytest.raises(ValidationError, match="cluster labels must be >= 0, got -1"):
+            predict_remaining("CP", [1.0, 2.0], 4, labels=[0, -1, 0, 1])
+
 
 class TestCxpOrder:
     @settings(max_examples=60, deadline=None)
@@ -329,6 +346,22 @@ class TestCascade:
             got = cascade_select(policy, float(c))
             expected = next(s for b, s in policy.thresholds if c <= b)
             assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_selection_is_a_step_function_over_the_bounds(self, data):
+        inner = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                   unique=True, max_size=5))
+        bounds = sorted(inner) + [1.0]
+        systems = data.draw(st.lists(st.sampled_from(SYSTEMS), min_size=len(bounds),
+                                     max_size=len(bounds)))
+        policy = CascadePolicy(tuple(zip(bounds, systems)))
+        cs = sorted(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                       min_size=1, max_size=8)) + inner)
+        steps = [bisect.bisect_left(bounds, c) for c in cs]
+        # c in (bounds[i-1], bounds[i]] picks entry i; c == 0 picks the first bound >= 0
+        assert [cascade_select(policy, c) for c in cs] == [systems[i] for i in steps]
+        assert steps == sorted(steps)
 
     @pytest.mark.parametrize("c", [-0.1, 1.0, 1.5])
     def test_out_of_domain_rejected(self, c):
