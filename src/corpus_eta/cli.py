@@ -8,7 +8,6 @@ for malformed command lines, and 130 when interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import os
@@ -19,7 +18,8 @@ from . import complexity, corpus as corpus_mod
 from .clustering import (DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv,
                          task_labels)
 from .config import AppConfig, load_config
-from .corpus import DEFAULT_ENCODERS, Clip, load_corpus, load_features_csv, save_corpus
+from .corpus import (DEFAULT_ENCODERS, Clip, float_text, load_corpus, load_features_csv,
+                     save_corpus, write_csv)
 from .errors import CorpusEtaError, EncodeError, ValidationError
 from .gbrt import GbrtParams, feature_matrix, load_model, save_model
 from .harness import (SweepConfig, SynthSpec, load_report_csv, monte_carlo,
@@ -61,6 +61,14 @@ def _hms(seconds: float) -> str:
     return str(datetime.timedelta(seconds=round(seconds)))
 
 
+def _save_corpus_dir(corpus, out_dir) -> None:
+    """features.csv, tasks.csv and (when measured) times.csv under out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    save_corpus(corpus, os.path.join(out_dir, "features.csv"),
+                os.path.join(out_dir, "tasks.csv"),
+                os.path.join(out_dir, "times.csv") if corpus.times is not None else None)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -72,12 +80,7 @@ def cmd_ingest(args) -> int:
     print(f"tasks: {corpus.N}")
     print(f"completed: {completed} (c={completed / corpus.N:.4f})")
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        save_corpus(corpus,
-                    os.path.join(args.out_dir, "features.csv"),
-                    os.path.join(args.out_dir, "tasks.csv"),
-                    os.path.join(args.out_dir, "times.csv")
-                    if corpus.times is not None else None)
+        _save_corpus_dir(corpus, args.out_dir)
         print(f"wrote normalized corpus to {args.out_dir}")
     return 0
 
@@ -188,11 +191,7 @@ def cmd_simulate(args) -> int:
         corpus = load_corpus(args.features, times_path=args.times,
                              tasks_path=args.tasks, encoders=args.encoders)
     if args.corpus_out is not None:
-        os.makedirs(args.corpus_out, exist_ok=True)
-        save_corpus(corpus,
-                    os.path.join(args.corpus_out, "features.csv"),
-                    os.path.join(args.corpus_out, "tasks.csv"),
-                    os.path.join(args.corpus_out, "times.csv"))
+        _save_corpus_dir(corpus, args.corpus_out)
         print(f"wrote corpus CSVs to {args.corpus_out}")
 
     sweep = SweepConfig(
@@ -249,12 +248,9 @@ def cmd_predict(args) -> int:
         save_model(args.model_out, result.model)
 
     if args.per_task_out is not None:
-        with open(args.per_task_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task_id", "predicted_seconds"])
-            for tid, seconds in sorted(zip((t.task_id for t in queued),
-                                           result.t_hat.tolist())):
-                writer.writerow([tid, repr(seconds)])
+        write_csv(args.per_task_out, ["task_id", "predicted_seconds"],
+                  ([tid, float_text(seconds)] for tid, seconds
+                   in sorted(zip((t.task_id for t in queued), result.t_hat.tolist()))))
 
     doc = {
         "system": result.system,

@@ -8,13 +8,12 @@ cluster-stratified processing order (CXP).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Clip, EncodeTask
+from .corpus import Clip, EncodeTask, float_text, write_csv
 from .errors import ValidationError
 
 # Fixed feature order for the clustering space.
@@ -180,21 +179,18 @@ def task_labels(assignment: ClusterAssignment,
         if label is None:
             raise ValidationError(
                 f"task {task.task_id!r}: clip {task.clip_id!r} has no cluster label")
+        if not 0 <= label < assignment.k:
+            raise ValidationError(
+                f"task {task.task_id!r}: clip {task.clip_id!r} has cluster label {label}, "
+                f"outside [0, k) for k = {assignment.k}")
         labels[i] = label
     return labels
 
 
 def save_clusters_csv(path, assignment: ClusterAssignment) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "cluster"])
-        for clip_id, label in assignment.labels.items():
-            writer.writerow([clip_id, label])
+    write_csv(path, ["clip_id", "cluster"], assignment.labels.items())
 
 
 def save_centroids_csv(path, assignment: ClusterAssignment) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster"] + list(CLUSTER_FEATURES))
-        for j, row in enumerate(assignment.centroids):
-            writer.writerow([j] + [repr(float(v)) for v in row])
+    write_csv(path, ["cluster", *CLUSTER_FEATURES],
+              ([j, *map(float_text, row)] for j, row in enumerate(assignment.centroids)))

@@ -11,7 +11,6 @@ luma samples.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import float_text, write_csv
 from .errors import ValidationError
 
 BLOCK_SIZE = 32
@@ -173,9 +173,6 @@ def analyze_yuv(path, width: int, height: int, num_frames: int,
 
 
 def write_frame_features_csv(path, features: list[FrameFeatures]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_index", "E", "h", "luma"])
-        for f in features:
-            writer.writerow([f.frame_index, repr(f.E_frame), repr(f.h_frame),
-                             repr(f.luma_frame)])
+    write_csv(path, ["frame_index", "E", "h", "luma"],
+              ([f.frame_index, float_text(f.E_frame), float_text(f.h_frame),
+                float_text(f.luma_frame)] for f in features))

@@ -1,9 +1,12 @@
-"""Domain types and CSV ingestion for the encode corpus.
+"""Domain types for the encode corpus, and the CSV table format every module uses.
 
 A corpus is a set of clips, the encode tasks derived from them (one task per
 clip x encoder x preset x CQP combination), and optionally the measured
 wall-clock seconds per completed task.  All model fitting happens on the
 natural log of the measured seconds; reporting stays in linear seconds.
+
+Every table the package writes or reads goes through ``write_csv``,
+``read_csv`` and ``float_text``, so all of them share one byte format.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CsvParseError, ValidationError
 
@@ -181,92 +184,105 @@ def to_log_time(seconds: float) -> float:
     return math.log(seconds)
 
 
-def _parse_row(reader: Iterable[list[str]], path, expected_header: list[str]):
-    """Yield (line_number, row) after checking the header line."""
-    lineno = 0
-    for row in reader:
-        lineno += 1
-        if lineno == 1:
-            if row != expected_header:
+def float_text(x) -> str:
+    """The one float rule for every table: shortest text that reads back bit for bit.
+
+    ``float()`` first, so an ``np.float64`` gives the same text as the equal
+    Python float rather than numpy's ``np.float64(...)`` repr.
+    """
+    return repr(float(x))
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 table in the default csv dialect: the header, then the rows.
+
+    Cells are written with ``str``; callers pass float cells through ``float_text``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (row number, cells) for each non-blank row after the header.
+
+    Rows are numbered from 1 at the header, as error messages name them. The
+    first row must equal ``header`` and every later row must have as many
+    cells; rows whose cells are all empty are skipped, and so is an empty file.
+    """
+    header = list(header)
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise CsvParseError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is not None and first != header:
+            raise CsvParseError(f"{path}: expected header {','.join(header)!r}, "
+                                f"got {','.join(first)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not any(row):
+                continue
+            if len(row) != len(header):
                 raise CsvParseError(
-                    f"{path}: expected header {','.join(expected_header)!r}, "
-                    f"got {','.join(row)!r}")
-            continue
-        if not row or all(cell == "" for cell in row):
-            continue
-        if len(row) != len(expected_header):
-            raise CsvParseError(
-                f"{path}, row {lineno}: expected {len(expected_header)} columns, got {len(row)}")
-        yield lineno, row
+                    f"{path}, row {lineno}: expected {len(header)} columns, got {len(row)}")
+            yield lineno, row
 
 
-def _field(path, lineno: int, name: str, raw: str, kind):
+def parse_field(path, lineno: int, name: str, raw: str, kind):
+    """``kind(raw)``, or a CsvParseError naming the file, row and column."""
     try:
         return kind(raw)
     except (TypeError, ValueError) as exc:
         raise CsvParseError(f"{path}, row {lineno}: bad {name} value {raw!r}") from exc
 
 
-def _open_csv(path):
-    try:
-        return open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CsvParseError(f"cannot read {path}: {exc}") from exc
-
-
 def load_features_csv(path) -> list[Clip]:
     path = Path(path)
     clips = []
-    with _open_csv(path) as fh:
-        for lineno, row in _parse_row(csv.reader(fh), path, FEATURES_HEADER):
-            (clip_id, width, height, fr_num, fr_den,
-             num_frames, e_val, h_val, luma, group) = row
-            try:
-                clips.append(Clip(
-                    clip_id=clip_id,
-                    width=_field(path, lineno, "width", width, int),
-                    height=_field(path, lineno, "height", height, int),
-                    framerate=Fraction(_field(path, lineno, "framerate_num", fr_num, int),
-                                       _field(path, lineno, "framerate_den", fr_den, int)),
-                    num_frames=_field(path, lineno, "num_frames", num_frames, int),
-                    E=_field(path, lineno, "E", e_val, float),
-                    h=_field(path, lineno, "h", h_val, float),
-                    luma=_field(path, lineno, "luma", luma, float),
-                    source_group=group))
-            except ZeroDivisionError as exc:
-                raise CsvParseError(f"{path}, row {lineno}: framerate_den is zero") from exc
+    for lineno, row in read_csv(path, FEATURES_HEADER):
+        (clip_id, width, height, fr_num, fr_den,
+         num_frames, e_val, h_val, luma, group) = row
+        try:
+            clips.append(Clip(
+                clip_id=clip_id,
+                width=parse_field(path, lineno, "width", width, int),
+                height=parse_field(path, lineno, "height", height, int),
+                framerate=Fraction(parse_field(path, lineno, "framerate_num", fr_num, int),
+                                   parse_field(path, lineno, "framerate_den", fr_den, int)),
+                num_frames=parse_field(path, lineno, "num_frames", num_frames, int),
+                E=parse_field(path, lineno, "E", e_val, float),
+                h=parse_field(path, lineno, "h", h_val, float),
+                luma=parse_field(path, lineno, "luma", luma, float),
+                source_group=group))
+        except ZeroDivisionError as exc:
+            raise CsvParseError(f"{path}, row {lineno}: framerate_den is zero") from exc
     return clips
 
 
 def load_times_csv(path) -> dict[str, TimeRecord]:
     path = Path(path)
     times: dict[str, TimeRecord] = {}
-    with _open_csv(path) as fh:
-        for lineno, row in _parse_row(csv.reader(fh), path, TIMES_HEADER):
-            task_id, seconds = row
-            if task_id in times:
-                raise ValidationError(f"{path}, row {lineno}: duplicate task_id {task_id!r}")
-            times[task_id] = TimeRecord(
-                task_id=task_id,
-                seconds=_field(path, lineno, "seconds", seconds, float))
+    for lineno, (task_id, seconds) in read_csv(path, TIMES_HEADER):
+        if task_id in times:
+            raise ValidationError(f"{path}, row {lineno}: duplicate task_id {task_id!r}")
+        times[task_id] = TimeRecord(
+            task_id=task_id, seconds=parse_field(path, lineno, "seconds", seconds, float))
     return times
 
 
 def load_tasks_csv(path) -> list[EncodeTask]:
     path = Path(path)
-    tasks = []
-    with _open_csv(path) as fh:
-        for lineno, row in _parse_row(csv.reader(fh), path, TASKS_HEADER):
-            task_id, clip_id, encoder, preset, cqp = row
-            tasks.append(EncodeTask(task_id=task_id, clip_id=clip_id, encoder=encoder,
-                                    preset=preset, cqp=_field(path, lineno, "cqp", cqp, int)))
-    return tasks
+    return [EncodeTask(task_id=task_id, clip_id=clip_id, encoder=encoder, preset=preset,
+                       cqp=parse_field(path, lineno, "cqp", cqp, int))
+            for lineno, (task_id, clip_id, encoder, preset, cqp)
+            in read_csv(path, TASKS_HEADER)]
 
 
 def load_corpus(features_path, times_path=None, tasks_path=None,
-                encoders: Sequence[str] = DEFAULT_ENCODERS,
-                presets: Sequence[str] = PRESETS,
-                cqps: Sequence[int] = CQPS) -> Corpus:
+                encoders: Sequence[str] = DEFAULT_ENCODERS) -> Corpus:
     """Load and validate a corpus.
 
     Tasks come from ``tasks_path`` when given, otherwise from expanding the
@@ -278,40 +294,26 @@ def load_corpus(features_path, times_path=None, tasks_path=None,
     if tasks_path is not None:
         tasks = load_tasks_csv(tasks_path)
     else:
-        tasks = expand_tasks(clips, encoders, presets, cqps)
+        tasks = expand_tasks(clips, encoders)
     times = load_times_csv(times_path) if times_path is not None else None
     return Corpus(clips=tuple(clips), tasks=tuple(tasks), times=times)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_features_csv(path, clips: Sequence[Clip]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURES_HEADER)
-        for c in clips:
-            writer.writerow([c.clip_id, c.width, c.height,
-                             c.framerate.numerator, c.framerate.denominator,
-                             c.num_frames, _fmt(c.E), _fmt(c.h), _fmt(c.luma),
-                             c.source_group])
+    write_csv(path, FEATURES_HEADER,
+              ([c.clip_id, c.width, c.height, c.framerate.numerator, c.framerate.denominator,
+                c.num_frames, float_text(c.E), float_text(c.h), float_text(c.luma),
+                c.source_group] for c in clips))
 
 
 def save_tasks_csv(path, tasks: Sequence[EncodeTask]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TASKS_HEADER)
-        for t in tasks:
-            writer.writerow([t.task_id, t.clip_id, t.encoder, t.preset, t.cqp])
+    write_csv(path, TASKS_HEADER,
+              ([t.task_id, t.clip_id, t.encoder, t.preset, t.cqp] for t in tasks))
 
 
 def save_times_csv(path, times: Mapping[str, TimeRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMES_HEADER)
-        for record in times.values():
-            writer.writerow([record.task_id, _fmt(record.seconds)])
+    write_csv(path, TIMES_HEADER,
+              ([r.task_id, float_text(r.seconds)] for r in times.values()))
 
 
 def save_corpus(corpus: Corpus, features_path, tasks_path=None, times_path=None) -> None:

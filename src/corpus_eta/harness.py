@@ -8,7 +8,6 @@ per-task and aggregate errors are scored in linear seconds.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import signal
@@ -20,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips, task_labels
-from .corpus import CQPS, PRESETS, Clip, Corpus, TimeRecord, _fmt, expand_tasks
+from .corpus import (Clip, Corpus, TimeRecord, expand_tasks, float_text, parse_field,
+                     read_csv, write_csv)
 from .errors import ValidationError
 from .gbrt import GbrtModel, GbrtParams, feature_matrix, train
 from .metrics import MetricReport, evaluate
@@ -67,8 +67,6 @@ class SynthSpec:
 
     n_clips: int = 600
     encoders: tuple[str, ...] = ("x264",)
-    presets: tuple[str, ...] = PRESETS
-    cqps: tuple[int, ...] = CQPS
     sigma: float = 0.3            # lognormal noise on the time law
     num_groups: int = 6
     law: Callable[[np.ndarray], np.ndarray] | None = None
@@ -100,7 +98,7 @@ def synth_corpus(spec: SynthSpec, seed: int = 0) -> Corpus:
             luma=float(rng.uniform(16.0, 235.0)),
             source_group=f"group{i % spec.num_groups}",
         ))
-    tasks = expand_tasks(clips, spec.encoders, spec.presets, spec.cqps)
+    tasks = expand_tasks(clips, spec.encoders)
     corpus = Corpus(clips=tuple(clips), tasks=tuple(tasks))
 
     law = spec.law if spec.law is not None else default_time_law
@@ -369,47 +367,26 @@ def report_rows(result: SweepResult) -> list[ReportRow]:
 
 def write_report_csv(path, result: SweepResult) -> None:
     """Averaged metrics, one row per (system, c); float text round-trips exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for row in report_rows(result):
-            writer.writerow([row.system, _fmt(row.c), _fmt(row.mape),
-                             _fmt(row.r2), _fmt(row.sape)])
+    write_csv(path, REPORT_HEADER,
+              ([row.system, float_text(row.c), float_text(row.mape), float_text(row.r2),
+                float_text(row.sape)] for row in report_rows(result)))
 
 
 def write_realisations_csv(path, result: SweepResult) -> None:
     """Per-realisation metrics before averaging."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REALISATIONS_HEADER)
-        for real in result.realisations:
-            for c in result.config.c_grid:
-                rep = real.per_c[float(c)]
-                writer.writerow([real.system, real.seed, _fmt(c), _fmt(rep.mape),
-                                 _fmt(rep.r2), _fmt(rep.sape), rep.n])
+    rows = []
+    for real in result.realisations:
+        for c in result.config.c_grid:
+            rep = real.per_c[float(c)]
+            rows.append([real.system, real.seed, float_text(c), float_text(rep.mape),
+                         float_text(rep.r2), float_text(rep.sape), rep.n])
+    write_csv(path, REALISATIONS_HEADER, rows)
 
 
 def load_report_csv(path) -> list[ReportRow]:
     """Read back what write_report_csv produced."""
-    out: list[ReportRow] = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read report {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != REPORT_HEADER:
-            raise ValidationError(f"{path}: unexpected report header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(REPORT_HEADER):
-                raise ValidationError(
-                    f"{path}, row {lineno}: expected {len(REPORT_HEADER)} fields, "
-                    f"got {len(row)}")
-            system, c, mape_v, r2_v, sape_v = row
-            try:
-                out.append(ReportRow(system=system, c=float(c), mape=float(mape_v),
-                                     r2=float(r2_v), sape=float(sape_v)))
-            except ValueError as exc:
-                raise ValidationError(f"{path}, row {lineno}: {exc}") from exc
-    return out
+    return [ReportRow(system=system, c=parse_field(path, lineno, "c", c, float),
+                      mape=parse_field(path, lineno, "mape", mape, float),
+                      r2=parse_field(path, lineno, "r2", r2, float),
+                      sape=parse_field(path, lineno, "sape", sape, float))
+            for lineno, (system, c, mape, r2, sape) in read_csv(path, REPORT_HEADER)]

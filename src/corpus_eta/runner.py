@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import TIMES_HEADER, Clip, Corpus, EncodeTask, load_times_csv
+from .corpus import (TIMES_HEADER, Clip, Corpus, EncodeTask, float_text, load_times_csv,
+                     write_csv)
 from .errors import EncodeError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -240,7 +241,7 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
                     stop.set()
                 return "failed"
             with lock:
-                writer.writerow([result.task_id, repr(float(result.seconds))])
+                writer.writerow([result.task_id, float_text(result.seconds)])
                 fh.flush()
                 os.fsync(fh.fileno())
                 succeeded += 1
@@ -254,12 +255,8 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
                 list(pool.map(work, pending))
 
     if failures:
-        manifest = times_path.with_name(times_path.name + ".failures.csv")
-        with open(manifest, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task_id"])
-            for tid in failures:
-                writer.writerow([tid])
+        write_csv(times_path.with_name(times_path.name + ".failures.csv"), ["task_id"],
+                  ([tid] for tid in failures))
 
     return BatchSummary(requested=len(todo_all), skipped=skipped,
                         succeeded=succeeded, failed=tuple(failures),

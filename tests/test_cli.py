@@ -500,4 +500,5 @@ class TestReport:
     def test_missing_report_exits_1(self, tmp_path, capsys):
         rc = main(["report", "--report", str(tmp_path / "nope.csv")])
         assert rc == 1
-        assert "cannot read report" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "nope.csv" in err

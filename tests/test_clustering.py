@@ -337,6 +337,20 @@ class TestClusterSizesByTask:
                            match="clip 'mystery' has no cluster label"):
             task_labels(assignment, tasks)
 
+    @pytest.mark.parametrize("label", [3, 1, -1])
+    def test_label_outside_k_rejected(self, label):
+        clips = [make_clip("a"), make_clip("b")]
+        tasks = expand_tasks(clips, encoders=("x264",), presets=("medium",),
+                             cqps=(22,))
+        assignment = ClusterAssignment(k=1, labels={"a": 0, "b": label},
+                                       centroids=np.zeros((1, 7)),
+                                       sizes=np.array([1]),
+                                       sse_per_iter=(0.0,), n_iter=1)
+        with pytest.raises(ValidationError,
+                           match=rf"task 'b:x264:medium:22': clip 'b' has cluster label "
+                                 rf"{label}, outside \[0, k\) for k = 1"):
+            task_labels(assignment, tasks)
+
 
 class TestClusterCsv:
     def test_clusters_csv_shape(self, tmp_path):

@@ -14,7 +14,8 @@ from corpus_eta.corpus import (CQPS, PRESETS, Clip, Corpus, EncodeTask, TimeReco
                                expand_tasks, load_corpus,
                                load_features_csv, load_tasks_csv, load_times_csv,
                                save_corpus, save_features_csv, save_tasks_csv,
-                               save_times_csv, task_id_for, to_log_time)
+                               save_times_csv, task_id_for, to_log_time, float_text,
+                               read_csv, write_csv)
 from corpus_eta.errors import CsvParseError, ValidationError
 
 from helpers import make_clip, make_clips
@@ -312,6 +313,62 @@ class TestCsvRoundTrip:
                         tasks=tuple(expand_tasks(clips, ["x264"])))
         with pytest.raises(ValidationError, match="no times"):
             save_corpus(corpus, tmp_path / "f.csv", times_path=tmp_path / "t.csv")
+
+
+# Python and numpy floats, including the values a float format most often gets wrong.
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     math.inf, -math.inf, math.nan]))
+_CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.integers(),
+    _FLOATS,
+    _FLOATS.map(np.float64))
+
+
+class TestTableFormat:
+    """write_csv, read_csv and float_text: the format every table shares."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_read_back_cell_for_cell(self, data):
+        width = data.draw(st.integers(1, 4))
+        header = [f"col{i}" for i in range(width)]
+        rows = data.draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width),
+                                  max_size=6))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_csv(path, header,
+                      ([float_text(v) if isinstance(v, float) else v for v in row]
+                       for row in rows))
+            loaded = [row for _, row in read_csv(path, header)]
+
+        # the reader skips rows whose cells are all empty
+        kept = [row for row in rows if any(v != "" for v in row)]
+        assert len(loaded) == len(kept)
+        for written, read in zip(kept, loaded):
+            for value, text in zip(written, read):
+                if isinstance(value, float):   # np.float64 is a float subclass
+                    assert float(text).hex() == float(value).hex()
+                    assert text == float_text(float(value))
+                else:
+                    assert text == str(value)
+
+    @given(_FLOATS)
+    def test_numpy_float_text_matches_python_float(self, x):
+        assert float_text(np.float64(x)) == float_text(x)
+        assert float(float_text(x)).hex() == float(x).hex()
+
+    def test_row_numbers_count_the_header_and_skipped_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n,\n\n3,4\n")
+        assert list(read_csv(path, ["a", "b"])) == [(2, ["1", "2"]), (5, ["3", "4"])]
+
+    def test_empty_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        assert list(read_csv(path, ["a", "b"])) == []
 
 
 class TestCsvErrors:

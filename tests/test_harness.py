@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from corpus_eta import harness
-from corpus_eta.clustering import cluster_clips
+from corpus_eta.clustering import ClusterAssignment, cluster_clips
 from corpus_eta.errors import ValidationError
 from corpus_eta.gbrt import GbrtParams, feature_matrix
 from corpus_eta.harness import (DEFAULT_C_GRID, REALISATIONS_HEADER,
@@ -297,6 +297,17 @@ class TestMonteCarlo:
         result = monte_carlo(corpus, config)
         assert [r.seed for r in result.realisations] == [11, 12, 11, 12]
 
+    def test_cp_rejects_a_label_outside_k(self):
+        corpus = tiny_corpus(n_clips=2)
+        a, b = (c.clip_id for c in corpus.clips)
+        assignment = ClusterAssignment(k=1, labels={a: 0, b: 3},
+                                       centroids=np.zeros((1, 7)), sizes=np.array([1]),
+                                       sse_per_iter=(0.0,), n_iter=1)
+        config = SweepConfig(systems=("CP",), num_realisations=1, c_grid=(0.5,), k=1,
+                             jobs=1)
+        with pytest.raises(ValidationError, match="has cluster label 3, outside"):
+            monte_carlo(corpus, config, assignment)
+
     def test_auto_clustering_kicks_in_for_cp(self):
         corpus = tiny_corpus(n_clips=4)
         config = SweepConfig(systems=("CP",), num_realisations=1,
@@ -410,19 +421,19 @@ class TestReports:
         assert len(lines) == 1 + 2 * 2  # realisations x grid points
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ValidationError, match="cannot read report"):
+        with pytest.raises(ValidationError, match=r"cannot read .*none\.csv"):
             load_report_csv(tmp_path / "none.csv")
 
     def test_load_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("system,c,mape\nBP,0.5,1.0\n")
-        with pytest.raises(ValidationError, match="unexpected report header"):
+        with pytest.raises(ValidationError, match=r"bad\.csv: expected header"):
             load_report_csv(path)
 
     def test_load_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("system,c,mape,r2,sape\nBP,0.5,1.0\n")
-        with pytest.raises(ValidationError, match="row 2: expected 5 fields"):
+        with pytest.raises(ValidationError, match=r"bad\.csv, row 2: expected 5 columns"):
             load_report_csv(path)
 
     def test_load_bad_float(self, tmp_path):

@@ -239,6 +239,12 @@ class TestCxpOrder:
         labels = [assignment.labels[tid.split(":")[0]] for tid in order]
         assert labels == [0, 1, 0, 1]
 
+    def test_label_at_or_above_k_rejected(self):
+        corpus = make_corpus(n_clips=2, presets=("medium",), cqps=(22,))
+        a, b = (c.clip_id for c in corpus.clips)
+        with pytest.raises(ValidationError, match="has cluster label 3, outside"):
+            cxp_order(corpus, assignment_for({a: 0, b: 3}, 1), seed=0)
+
     def test_uneven_clusters_alternate_then_drain(self):
         corpus = make_corpus(n_clips=4, presets=("medium",), cqps=(22,))
         ids = [c.clip_id for c in corpus.clips]
