@@ -11,6 +11,7 @@ luma samples.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,53 +75,66 @@ def block_dct_energy(block: np.ndarray) -> float:
     return float(np.sum(_energy_weights(n) * np.abs(coeffs)))
 
 
-def _pad_to_blocks(luma: np.ndarray) -> np.ndarray:
-    """Zero-pad so both dimensions are multiples of the block size."""
-    height, width = luma.shape
-    pad_h = (-height) % BLOCK_SIZE
-    pad_w = (-width) % BLOCK_SIZE
-    if pad_h or pad_w:
-        luma = np.pad(luma, ((0, pad_h), (0, pad_w)))
-    return luma
-
-
 def frame_block_energies(luma: np.ndarray) -> np.ndarray:
-    """Per-block weighted AC energies of one luma plane, row-major block order."""
-    luma = np.asarray(luma, dtype=np.float64)
-    padded = _pad_to_blocks(luma)
-    rows, cols = padded.shape[0] // BLOCK_SIZE, padded.shape[1] // BLOCK_SIZE
-    blocks = (padded.reshape(rows, BLOCK_SIZE, cols, BLOCK_SIZE)
-              .transpose(0, 2, 1, 3)
-              .reshape(rows * cols, BLOCK_SIZE, BLOCK_SIZE))
-    blocks = blocks - blocks.mean(axis=(1, 2), keepdims=True)
+    """Per-block weighted AC energies of one luma plane, row-major block order.
+
+    Partial edge blocks are zero-padded. The frame is transformed one row of
+    blocks at a time, so the float64 working set is a few strips of
+    BLOCK_SIZE rows rather than several copies of the whole frame.
+    """
+    luma = np.asarray(luma)
+    height, width = luma.shape
+    rows, cols = -(-height // BLOCK_SIZE), -(-width // BLOCK_SIZE)
     basis = _dct_basis(BLOCK_SIZE)
-    coeffs = np.abs(basis @ blocks @ basis.T)
-    return np.einsum("bij,ij->b", coeffs, _energy_weights(BLOCK_SIZE))
+    weights = _energy_weights(BLOCK_SIZE)
+    strip = np.zeros((BLOCK_SIZE, cols * BLOCK_SIZE))
+    energies = np.empty(rows * cols)
+    for row in range(rows):
+        part = luma[row * BLOCK_SIZE:(row + 1) * BLOCK_SIZE]
+        strip[:part.shape[0], :width] = part
+        strip[part.shape[0]:] = 0.0  # only the last strip can be short
+        # A contiguous copy: centring in place must not touch the strip's
+        # zero padding, and the block means' summation order must not depend
+        # on how many block rows the frame has.
+        blocks = strip.reshape(BLOCK_SIZE, cols, BLOCK_SIZE).transpose(1, 0, 2).copy()
+        blocks -= blocks.mean(axis=(1, 2), keepdims=True)
+        coeffs = np.abs(basis @ blocks @ basis.T)
+        energies[row * cols:(row + 1) * cols] = np.einsum("bij,ij->b", coeffs, weights)
+    return energies
 
 
 def _frame_stats(luma: np.ndarray) -> tuple[np.ndarray, float]:
-    return frame_block_energies(luma), float(np.mean(np.asarray(luma, dtype=np.float64)))
+    return frame_block_energies(luma), float(np.mean(luma, dtype=np.float64))
+
+
+def _frame_stats_in_order(frames, jobs: int):
+    """Yield ``_frame_stats`` per frame in order, with at most ``jobs`` frames held."""
+    if jobs == 1:
+        for frame in frames:
+            yield _frame_stats(frame)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        pending = deque()
+        for frame in frames:
+            pending.append(pool.submit(_frame_stats, frame))
+            if len(pending) == jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def analyze_frames(frames, jobs: int = 1) -> tuple[list[FrameFeatures], ClipComplexity]:
     """Compute per-frame and clip-level features from an iterable of luma planes.
 
-    Per-frame work is independent; with jobs > 1 the whole clip is held in
-    memory and frames are processed by a thread pool, reduced in index order,
-    so the result is identical for any worker count.
+    Per-frame work is independent; with jobs > 1 frames are handed to a thread
+    pool as they are read, at most ``jobs`` at a time, and reduced in index
+    order, so the result is identical for any worker count.
     """
-    if jobs > 1:
-        frame_list = list(frames)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            stats = list(pool.map(_frame_stats, frame_list))
-    else:
-        stats = [_frame_stats(frame) for frame in frames]
-    if not stats:
-        raise ValidationError("no frames to analyze")
-
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     features: list[FrameFeatures] = []
     prev_energies = None
-    for index, (energies, luma_mean) in enumerate(stats):
+    for index, (energies, luma_mean) in enumerate(_frame_stats_in_order(frames, jobs)):
         e_frame = float(np.mean(energies))
         if prev_energies is None:
             h_frame = 0.0
@@ -128,6 +142,8 @@ def analyze_frames(frames, jobs: int = 1) -> tuple[list[FrameFeatures], ClipComp
             h_frame = float(np.mean(np.abs(energies - prev_energies)))
         features.append(FrameFeatures(index, e_frame, h_frame, luma_mean))
         prev_energies = energies
+    if not features:
+        raise ValidationError("no frames to analyze")
 
     n = len(features)
     clip = ClipComplexity(

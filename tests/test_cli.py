@@ -128,6 +128,17 @@ class TestAnalyze:
         assert rc == 1
         assert "whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        yuv = tmp_path / "gray.yuv"
+        write_yuv(yuv, [np.full((32, 32), 50, dtype=np.uint8)] * 2)
+        rc = main(["analyze", "--yuv", str(yuv), "--width", "32", "--height", "32",
+                   "--jobs", jobs])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"jobs must be >= 1, got {jobs}" in captured.err
+        assert captured.out == ""
+
     def test_frames_out(self, tmp_path):
         yuv = tmp_path / "gray.yuv"
         write_yuv(yuv, [np.full((32, 32), 50, dtype=np.uint8)] * 3)

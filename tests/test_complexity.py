@@ -1,15 +1,23 @@
-"""Complexity features checked against a direct cosine-sum reference transform."""
+"""Complexity features checked against a direct cosine-sum reference transform,
+and the strip-wise frame path against the whole-frame path in reference_complexity.py."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus_eta import complexity
 from corpus_eta.complexity import (BLOCK_SIZE, ClipComplexity, FrameFeatures,
                                    analyze_frames, analyze_yuv, block_dct_energy,
                                    frame_block_energies, read_yuv420p_luma,
                                    write_frame_features_csv)
 from corpus_eta.errors import ValidationError
+
+from reference_complexity import reference_frame_block_energies
 
 
 # Reference: evaluate each transform coefficient as an explicit double cosine
@@ -218,6 +226,168 @@ class TestAnalyzeFrames:
     def test_empty_clip_rejected(self):
         with pytest.raises(ValidationError, match="no frames"):
             analyze_frames([])
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        frames = [np.full((32, 32), 10, dtype=np.uint8)]
+        with pytest.raises(ValidationError, match=f"jobs must be >= 1, got {jobs}"):
+            analyze_frames(frames, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_thread_pool_holds_at_most_jobs_frames(self, monkeypatch, jobs):
+        """A frame is pending from the moment the source yields it until its
+        per-frame statistics are computed; the pool must not read ahead of that."""
+        rng = np.random.default_rng(20 + jobs)
+        frames = [rng.integers(0, 256, size=(40, 72), dtype=np.uint8) for _ in range(12)]
+        serial = analyze_frames(frames, jobs=1)
+
+        lock = threading.Lock()
+        pending = most = 0
+        frame_stats = complexity._frame_stats
+
+        def counted_frame_stats(luma):
+            nonlocal pending
+            result = frame_stats(luma)
+            with lock:
+                pending -= 1
+            return result
+
+        def source():
+            nonlocal pending, most
+            for frame in frames:
+                with lock:
+                    pending += 1
+                    most = max(most, pending)
+                yield frame
+
+        monkeypatch.setattr(complexity, "_frame_stats", counted_frame_stats)
+        pooled = analyze_frames(source(), jobs=jobs)
+        assert most <= jobs
+        assert pending == 0
+        assert pooled == serial
+
+
+def _uint8_frame(rng, height, width, fill):
+    if fill == "flat":
+        return np.full((height, width), rng.integers(0, 256), dtype=np.uint8)
+    if fill == "gradient":
+        return (np.add.outer(np.arange(height), 3 * np.arange(width)) % 256).astype(np.uint8)
+    return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+
+
+class TestStripWiseMatchesWholeFrame:
+    """``frame_block_energies`` against the whole-frame path in reference_complexity.py.
+
+    For 8-bit input every sum before the transform is an exact integer and the
+    per-block matmul does not depend on how many blocks share a batch, so
+    working one block row at a time must not change a single bit.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(height=st.integers(1, 200), width=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1),
+           fill=st.sampled_from(["random", "flat", "gradient"]),
+           steps=st.sampled_from([(1, 1), (2, 1), (1, 3), (-1, 1), (2, -2)]))
+    def test_uint8_frames_are_bit_identical(self, height, width, seed, fill, steps):
+        row_step, col_step = steps
+        rng = np.random.default_rng(seed)
+        base = _uint8_frame(rng, height * abs(row_step), width * abs(col_step), fill)
+        frame = base[::row_step, ::col_step]
+        assert frame.shape == (height, width)
+        assert (frame_block_energies(frame).tobytes()
+                == reference_frame_block_energies(frame).tobytes())
+
+    @settings(max_examples=50, deadline=None)
+    @given(height=st.integers(1, 200), width=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_transposed_frames_match_their_contiguous_copy(self, height, width, seed):
+        """The reference hands a column-major block to matmul when a transposed
+        frame is one block high or wide, which moves its last bits; the
+        strip-wise path copies every strip into row-major order first, so
+        its result does not depend on the input's memory layout."""
+        frame = np.random.default_rng(seed).integers(
+            0, 256, size=(width, height), dtype=np.uint8).T
+        contiguous = np.ascontiguousarray(frame)
+        assert (frame_block_energies(frame).tobytes()
+                == frame_block_energies(contiguous).tobytes()
+                == reference_frame_block_energies(contiguous).tobytes())
+
+    @pytest.mark.parametrize("height,width", [(720, 1280), (1080, 1920), (2160, 3840)])
+    def test_full_size_frames_are_bit_identical(self, height, width):
+        frame = np.random.default_rng(height).integers(
+            0, 256, size=(height, width), dtype=np.uint8)
+        assert (frame_block_energies(frame).tobytes()
+                == reference_frame_block_energies(frame).tobytes())
+
+    @pytest.mark.parametrize("height,width", [(20, 100), (32, 64), (100, 20),
+                                              (70, 90), (96, 33)])
+    def test_float_frames_agree_to_rounding(self, height, width):
+        """Not bit for bit: for a frame one block row high the reference's
+        reshape returns a strided view instead of a copy, and numpy sums a
+        strided view's block means in a different order. Non-integral float
+        samples make that order visible in the last bits."""
+        frame = np.random.default_rng(width).uniform(0.0, 255.0, size=(height, width))
+        np.testing.assert_allclose(frame_block_energies(frame),
+                                   reference_frame_block_energies(frame),
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(height=st.integers(1, 200), width=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1), as_float=st.booleans(),
+           steps=st.sampled_from([(1, 1), (2, 1), (1, 3), (-1, -1)]))
+    def test_luma_frame_is_the_float64_mean(self, height, width, seed, as_float, steps):
+        """Float frames are drawn contiguous: a strided float view's mean is
+        summed in another order than its contiguous copy, in either version."""
+        rng = np.random.default_rng(seed)
+        if as_float:
+            frame = rng.uniform(0.0, 255.0, size=(height, width))
+        else:
+            row_step, col_step = steps
+            base = rng.integers(0, 256, size=(height * abs(row_step), width * abs(col_step)),
+                                dtype=np.uint8)
+            frame = base[::row_step, ::col_step]
+        (features,), _ = analyze_frames([frame])
+        expected = float(np.mean(frame.astype(np.float64)))
+        assert features.luma_frame.hex() == expected.hex()
+
+    @pytest.mark.parametrize("level", [0, 255])
+    def test_luma_frame_of_a_flat_2160p_frame(self, level):
+        frame = np.full((2160, 3840), level, dtype=np.uint8)
+        (features,), _ = analyze_frames([frame])
+        assert features.luma_frame == float(level)
+
+
+MiB = 2**20
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """numpy reports its buffers to tracemalloc, so these peaks are deterministic.
+    The whole-frame path peaked at about 80 MiB for one 1080p frame, and holding
+    a 16-frame 1080p clip for the thread pool at about 190 MiB."""
+
+    def test_block_energies_of_a_1080p_frame(self):
+        frame = np.random.default_rng(30).integers(0, 256, size=(1080, 1920), dtype=np.uint8)
+        frame_block_energies(frame[:32, :32])  # builds the cached basis outside the trace
+        assert _traced_peak(lambda: frame_block_energies(frame)) < 8 * MiB
+
+    def test_pooled_analysis_of_a_1080p_clip(self):
+        rng = np.random.default_rng(31)
+
+        def clip():
+            for _ in range(16):
+                yield rng.integers(0, 256, size=(1080, 1920), dtype=np.uint8)
+
+        analyze_frames([np.zeros((32, 32), dtype=np.uint8)], jobs=2)
+        assert _traced_peak(lambda: analyze_frames(clip(), jobs=2)) < 24 * MiB
 
 
 class TestYuvReader:
