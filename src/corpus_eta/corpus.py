@@ -58,10 +58,12 @@ class Clip:
         if self.framerate <= 0:
             raise ValidationError(
                 f"clip {self.clip_id!r}: framerate must be > 0, got {self.framerate}")
-        if not (self.E >= 0.0):
-            raise ValidationError(f"clip {self.clip_id!r}: E must be >= 0, got {self.E}")
-        if not (self.h >= 0.0):
-            raise ValidationError(f"clip {self.clip_id!r}: h must be >= 0, got {self.h}")
+        if not (0.0 <= self.E < math.inf):
+            raise ValidationError(f"clip {self.clip_id!r}: E must be finite and >= 0, "
+                                  f"got {self.E}")
+        if not (0.0 <= self.h < math.inf):
+            raise ValidationError(f"clip {self.clip_id!r}: h must be finite and >= 0, "
+                                  f"got {self.h}")
         if not (0.0 <= self.luma <= 255.0):
             raise ValidationError(
                 f"clip {self.clip_id!r}: luma must be in [0, 255], got {self.luma}")
@@ -100,9 +102,9 @@ class TimeRecord:
     seconds: float
 
     def __post_init__(self):
-        if not (self.seconds > 0.0):
-            raise ValidationError(
-                f"time for task {self.task_id!r}: seconds must be > 0, got {self.seconds}")
+        if not (0.0 < self.seconds < math.inf):
+            raise ValidationError(f"time for task {self.task_id!r}: seconds must be finite "
+                                  f"and > 0, got {self.seconds}")
 
 
 def task_id_for(clip_id: str, encoder: str, preset: str, cqp: int) -> str:

@@ -11,12 +11,19 @@ The search is presorted and partitioned.  Each feature is argsorted once per
 fit.  Every node owns a matrix holding its rows in each feature's sorted
 order, plus a row in canonical order.  A split partitions every row of that
 matrix stably by one lookup of each row's side, so the children arrive
-already sorted and no node touches rows outside itself.  Within a node, one
-cumulative sum per feature gives the left sums at every sorted position, and
-only positions where the value changes and both children keep
-``min_samples_leaf`` rows are scored.  Each feature sums its residuals in its
-own sorted order, with no binning, so every score is bit-identical to a
-direct sweep over the node's sorted rows.
+already sorted and no node touches rows outside itself.  A child that is
+certain to be a leaf (its parent sits one level above ``max_depth``, or it
+has fewer than ``2 * min_samples_leaf`` rows) takes only its canonical row,
+without partitioning the whole matrix.  Within a node, one cumulative sum
+per feature gives the left sums at every sorted position, and only positions
+where the value changes and both children keep ``min_samples_leaf`` rows are
+scored.  Each feature sums its residuals in its own sorted order, with no
+binning, so every score is bit-identical to a direct sweep over the node's
+sorted rows.
+
+Prediction walks all rows down a tree together, one level per step.  Leaves
+act as self-loops, so each step is the same few gathers over every row, and
+the walk stops once no row sits on an internal node.
 
 Targets are log-seconds; callers exponentiate predictions back to linear
 time.
@@ -82,22 +89,35 @@ class GbrtModel:
     train_mse: tuple[float, ...] = field(default=(), compare=False)
 
 
+def _clip_values(clip) -> tuple:
+    """The clip's leading features, ordered per FEATURE_NAMES."""
+    return (clip.height, clip.num_pixels, float(clip.framerate), clip.num_frames,
+            clip.E, clip.h, clip.luma)
+
+
 def feature_row(clip, task) -> np.ndarray:
     """Model features for one encode task, ordered per FEATURE_NAMES."""
-    return np.array([clip.height, clip.num_pixels, float(clip.framerate),
-                     clip.num_frames, clip.E, clip.h, clip.luma,
-                     PRESET_ORD[task.preset], task.cqp], dtype=np.float64)
+    return np.array(_clip_values(clip) + (PRESET_ORD[task.preset], task.cqp),
+                    dtype=np.float64)
 
 
 def feature_matrix(corpus: Corpus, task_ids: Sequence[str]) -> np.ndarray:
     task_map = corpus.task_map()
-    rows = np.empty((len(task_ids), len(FEATURE_NAMES)), dtype=np.float64)
-    for i, task_id in enumerate(task_ids):
-        task = task_map.get(task_id)
-        if task is None:
-            raise ValidationError(f"unknown task_id {task_id!r}")
-        rows[i] = feature_row(corpus.clip(task.clip_id), task)
-    return rows
+    by_clip: dict[str, tuple] = {}
+
+    def rows():
+        for task_id in task_ids:
+            task = task_map.get(task_id)
+            if task is None:
+                raise ValidationError(f"unknown task_id {task_id!r}")
+            head = by_clip.get(task.clip_id)
+            if head is None:
+                head = by_clip[task.clip_id] = _clip_values(corpus.clip(task.clip_id))
+            yield head + (PRESET_ORD[task.preset], task.cqp)
+
+    # fromiter keeps one row's tuple alive at a time, not a list of them all
+    return np.fromiter(rows(), dtype=np.dtype((np.float64, len(FEATURE_NAMES))),
+                       count=len(task_ids))
 
 
 class _TreeBuilder:
@@ -109,8 +129,8 @@ class _TreeBuilder:
 
     def __init__(self, X: np.ndarray, params: GbrtParams):
         n, num_features = X.shape
-        self.X = X
         self.values = np.ascontiguousarray(X.T).ravel()  # feature-major
+        self.cols = self.values.reshape(num_features, n)
         self.offsets = np.arange(num_features, dtype=np.intp)[:, None] * n
         self.params = params
         self.side = np.empty(n, dtype=bool)  # split side of each row, by row id
@@ -126,7 +146,10 @@ class _TreeBuilder:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
-        self._grow(self.root, depth=0)
+        if self._can_split(0, self.root.shape[1]):
+            self._grow(self.root, depth=0)
+        else:
+            self._leaf(self.root[-1])
         tree = RegressionTree(
             feature=np.asarray(self.feature, dtype=np.int32),
             threshold=np.asarray(self.threshold, dtype=np.float64),
@@ -135,43 +158,50 @@ class _TreeBuilder:
             value=np.asarray(self.value, dtype=np.float64))
         return tree, self.train_out
 
-    def _new_node(self) -> int:
+    def _can_split(self, depth: int, m: int) -> bool:
+        return depth < self.params.max_depth and m >= 2 * self.params.min_samples_leaf
+
+    def _new_node(self, value: float = 0.0) -> int:
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(0.0)
+        self.value.append(value)
         return len(self.feature) - 1
 
-    def _make_leaf(self, node: int, member: np.ndarray) -> None:
-        # member is in ascending row order, so the mean sums in a fixed order
-        val = float(np.mean(self.residuals[member]))
-        self.value[node] = val
+    def _leaf(self, member: np.ndarray) -> int:
+        # member is in ascending row order, so the sum runs in a fixed order;
+        # np.mean is exactly this add.reduce divided by the count
+        val = float(np.add.reduce(self.residuals.take(member))) / member.size
         self.train_out[member] = val
+        return self._new_node(val)
 
     def _grow(self, rows: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        m = rows.shape[1]
-        member = rows[-1]
-        if depth >= self.params.max_depth or m < 2 * self.params.min_samples_leaf:
-            self._make_leaf(node, member)
-            return node
-
+        """Grow the subtree of a node that may split; returns its index."""
         split = self._best_split(rows)
+        member = rows[-1]
         if split is None:
-            self._make_leaf(node, member)
-            return node
+            return self._leaf(member)
 
-        # Stable partition: each child's rows keep their sorted order.
+        node = self._new_node()
         feat, thr = split
         self.feature[node] = feat
         self.threshold[node] = thr
-        self.side[member] = self.X[member, feat] <= thr
-        go_left = self.side[rows]
-        n_left = int(np.count_nonzero(go_left[-1]))
-        self.left[node] = self._grow(rows[go_left].reshape(len(rows), n_left), depth + 1)
-        self.right[node] = self._grow(rows[~go_left].reshape(len(rows), m - n_left),
-                                      depth + 1)
+        go_left = self.cols[feat].take(member) <= thr
+        m = member.size
+        n_left = int(np.count_nonzero(go_left))
+        depth += 1
+        split_left = self._can_split(depth, n_left)
+        split_right = self._can_split(depth, m - n_left)
+        if split_left or split_right:
+            # Stable partition: each child's rows keep their sorted order.  A
+            # child that is certain to be a leaf needs only its member row.
+            self.side[member] = go_left
+            by_side = self.side[rows]
+        self.left[node] = (self._grow(rows[by_side].reshape(len(rows), n_left), depth)
+                           if split_left else self._leaf(member[go_left]))
+        self.right[node] = (self._grow(rows[~by_side].reshape(len(rows), m - n_left), depth)
+                            if split_right else self._leaf(member[~go_left]))
         return node
 
     def _best_split(self, rows: np.ndarray) -> tuple[int, float] | None:
@@ -188,31 +218,31 @@ class _TreeBuilder:
         sv = self.values.take(idx + self.offsets)
         # candidate boundary p splits after sorted position p, leaving p+1 rows left
         width = m - 2 * msl + 1
-        cand = np.flatnonzero(sv[:, msl - 1:m - msl] < sv[:, msl:m - msl + 1])
+        cand = (sv[:, msl - 1:m - msl] < sv[:, msl:m - msl + 1]).ravel().nonzero()[0]
         if cand.size == 0:
             return None
         feats, pos = np.divmod(cand, width)
         pos += msl - 1
-        prefix = np.cumsum(self.residuals.take(idx), axis=1)
+        prefix = self.residuals.take(idx).cumsum(axis=1)
         totals = prefix[:, -1]
-        first = int(np.argmax(sv[:, 0] != sv[:, -1]))
-        parent_score = totals[first] * totals[first] / m
+        parent = float(totals[(sv[:, 0] != sv[:, -1]).argmax()])
+        parent_score = parent * parent / m
 
         left_sum = prefix.ravel().take(feats * m + pos)
         n_left = pos + 1.0
-        total = totals.take(feats)
-        score = left_sum * left_sum / n_left \
-            + (total - left_sum) * (total - left_sum) / (m - n_left)
+        right_sum = totals.take(feats) - left_sum
+        score = left_sum * left_sum / n_left + right_sum * right_sum / (m - n_left)
         # first max over (feature, position) in row-major order: lowest feature,
         # then lowest threshold, wins ties
-        j = int(np.argmax(score))
+        j = int(score.argmax())
         if not score[j] > parent_score:  # only real gains beat the parent
             return None
         feat, p = int(feats[j]), int(pos[j])
-        thr = (sv[feat, p] + sv[feat, p + 1]) / 2.0
-        if thr == sv[feat, p + 1]:  # midpoint rounded up to the right value
-            thr = sv[feat, p]
-        return feat, float(thr)
+        below, above = float(sv[feat, p]), float(sv[feat, p + 1])
+        thr = (below + above) / 2.0
+        if thr == above:  # midpoint rounded up to the right value
+            thr = below
+        return feat, thr
 
 
 def train(rows, targets, params: GbrtParams = GbrtParams()) -> GbrtModel:
@@ -257,15 +287,23 @@ def train(rows, targets, params: GbrtParams = GbrtParams()) -> GbrtModel:
 
 
 def _tree_outputs(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    idx = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = tree.feature[idx]
-        live = np.nonzero(feat >= 0)[0]
-        if live.size == 0:
-            return tree.value[idx]
-        at = idx[live]
-        go_left = X[live, feat[live]] <= tree.threshold[at]
-        idx[live] = np.where(go_left, tree.left[at], tree.right[at])
+    """Leaf value of each row of a C-contiguous X, one tree level per step."""
+    leaf = tree.feature < 0
+    # Leaves become self-loops (feature 0, threshold +inf, both children the
+    # leaf itself), so every row takes the same few gathers at every step.
+    feature = np.where(leaf, 0, tree.feature)
+    threshold = np.where(leaf, np.inf, tree.threshold)
+    # (right, left) per node: a row's comparison result picks its child
+    children = np.where(leaf, np.arange(leaf.size),
+                        np.stack((tree.right, tree.left))).T.ravel()
+    internal = ~leaf
+    flat = X.ravel()
+    row_start = np.arange(X.shape[0]) * X.shape[1]
+    idx = np.zeros(X.shape[0], dtype=np.intp)
+    while internal.take(idx).any():  # _check_tree makes every walk end
+        go_left = flat.take(row_start + feature.take(idx)) <= threshold.take(idx)
+        idx = children.take(2 * idx + go_left)
+    return tree.value.take(idx)
 
 
 def predict(model: GbrtModel, rows) -> np.ndarray:
@@ -274,9 +312,14 @@ def predict(model: GbrtModel, rows) -> np.ndarray:
     single = X.ndim == 1
     if single:
         X = X.reshape(1, -1)
+    if X.ndim != 2:
+        raise ValidationError(f"rows must be 1-D or 2-D, got shape {X.shape}")
+    X = np.ascontiguousarray(X)
     if X.shape[1] != model.num_features:
         raise ValidationError(
             f"model expects {model.num_features} features, got {X.shape[1]}")
+    if not np.isfinite(X).all():
+        raise ValidationError("rows contain NaN or infinity")
     out = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
         out += model.params.learning_rate * _tree_outputs(tree, X)

@@ -466,6 +466,34 @@ class TestPredict:
         assert len(ids) == 21
         assert ids == sorted(ids)
 
+    def test_infinite_time_exits_1(self, corpus_files, tmp_path, capsys):
+        corpus, features, _ = corpus_files
+        times = partial_times(tmp_path, corpus, 3)
+        with open(times, "a", encoding="utf-8") as fh:
+            fh.write(f"{corpus.tasks[3].task_id},inf\n")
+        rc = main(["predict", "--features", str(features), "--times", str(times),
+                   "--encoders", "x264", "--system", "BP"])
+        assert rc == 1
+        assert "seconds must be finite" in capsys.readouterr().err
+
+    def test_infinite_feature_exits_1(self, corpus_files, tmp_path, capsys):
+        corpus, features, _ = corpus_files
+        times = partial_times(tmp_path, corpus, 6)
+        model_path = tmp_path / "model.json"
+        assert main(["predict", "--features", str(features), "--times", str(times),
+                     "--encoders", "x264", "--system", "XP", "--trees", "5",
+                     "--model-out", str(model_path)]) == 0
+        header, *rows = features.read_text().splitlines()
+        cells = rows[1].split(",")
+        cells[header.split(",").index("E")] = "inf"
+        rows[1] = ",".join(cells)
+        features.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", "--features", str(features), "--encoders", "x264",
+                   "--system", "GXP", "--model-in", str(model_path)])
+        assert rc == 1
+        assert "E must be finite" in capsys.readouterr().err
+
     def test_nothing_left_to_predict_exits_1(self, corpus_files, capsys):
         _, features, times = corpus_files
         rc = main(["predict", "--features", str(features), "--times", str(times),

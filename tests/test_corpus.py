@@ -33,6 +33,7 @@ class TestClip:
     @pytest.mark.parametrize("field,value", [
         ("width", 0), ("height", -1), ("num_frames", 0), ("framerate", 0),
         ("E", -0.5), ("h", -1.0), ("luma", -1.0), ("luma", 256.0),
+        ("E", math.inf), ("h", math.inf),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValidationError):
@@ -74,7 +75,7 @@ class TestTimeRecord:
     def test_positive_ok(self):
         assert TimeRecord(task_id="t", seconds=0.001).seconds == 0.001
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), math.inf])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValidationError, match="seconds"):
             TimeRecord(task_id="t", seconds=bad)
@@ -261,7 +262,7 @@ class TestCsvRoundTrip:
         # any text a CSV field can carry in UTF-8, commas, quotes and newlines too
         text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
         clip_ids = data.draw(st.lists(text.filter(bool), min_size=1, max_size=4, unique=True))
-        features = st.floats(min_value=0.0, allow_nan=False)
+        features = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
         clips = [Clip(clip_id=cid, width=data.draw(st.integers(1, 8192)),
                       height=data.draw(st.integers(1, 8192)),
                       framerate=Fraction(data.draw(st.integers(1, 240000)),
@@ -277,7 +278,8 @@ class TestCsvRoundTrip:
             data.draw(st.lists(st.sampled_from(CQPS), min_size=1, unique=True)))
         ids = [t.task_id for t in tasks]
         assume(len(set(ids)) == len(ids))   # ':' inside ids can make two collide
-        seconds = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+        seconds = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                            allow_infinity=False)
         times = {tid: TimeRecord(tid, data.draw(seconds))
                  for tid in ids if data.draw(st.booleans())}
         corpus = Corpus(clips=tuple(clips), tasks=tuple(tasks), times=times)
@@ -390,6 +392,18 @@ class TestCsvErrors:
             "b,1280,720,30,1,sixty,1.0,1.0,100.0,g\n")
         with pytest.raises(CsvParseError, match="row 3"):
             load_features_csv(path)
+
+    def test_infinite_values_rejected(self, tmp_path):
+        features = tmp_path / "f.csv"
+        features.write_text(
+            "clip_id,width,height,framerate_num,framerate_den,num_frames,E,h,luma,source_group\n"
+            "a,1280,720,30,1,60,inf,1.0,100.0,g\n")
+        with pytest.raises(ValidationError, match="E must be finite"):
+            load_features_csv(features)
+        times = tmp_path / "t.csv"
+        times.write_text("task_id,seconds\na:x264:medium:27,inf\n")
+        with pytest.raises(ValidationError, match="seconds must be finite"):
+            load_times_csv(times)
 
     def test_features_zero_denominator(self, tmp_path):
         path = tmp_path / "f.csv"

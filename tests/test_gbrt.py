@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_eta.corpus import Corpus, EncodeTask, expand_tasks
 from corpus_eta.errors import ValidationError
@@ -285,10 +287,120 @@ class TestPrediction:
         assert model.num_features == 1
         assert np.array_equal(predict(model, x.reshape(-1, 1)), y)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        model = train(np.arange(12.0).reshape(6, 2), np.arange(6.0),
+                      GbrtParams(num_trees=2, max_depth=2, min_samples_leaf=1))
+        rows = np.zeros((3, 2))
+        rows[1, 1] = bad
+        with pytest.raises(ValidationError, match="rows contain"):
+            predict(model, rows)
+        with pytest.raises(ValidationError, match="rows contain"):
+            predict(model, rows[1])
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 1)])
+    def test_rows_of_other_rank_rejected(self, shape):
+        model = train(np.zeros((4, 3)), np.ones(4), GbrtParams(num_trees=0))
+        with pytest.raises(ValidationError, match="1-D or 2-D"):
+            predict(model, np.zeros(shape))
+
+    def test_no_features_and_no_rows(self):
+        model = train(np.zeros((4, 0)), np.arange(4.0), GbrtParams(num_trees=2))
+        assert predict(model, np.zeros((2, 0))).tolist() == [1.5, 1.5]
+        assert predict(model, np.zeros((0, 0))).shape == (0,)
+
     def test_feature_count_mismatch_rejected(self):
         model = train(np.zeros((4, 3)), np.ones(4), GbrtParams(num_trees=0))
         with pytest.raises(ValidationError, match="expects 3 features, got 2"):
             predict(model, np.zeros((2, 2)))
+
+
+levels = st.sampled_from([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def hand_tree(draw, num_features, max_nodes=40):
+    """A random valid tree in preorder, as model_from_dict takes it."""
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def node(depth):
+        i = len(tree["feature"])
+        for name, init in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                           ("right", -1)):
+            tree[name].append(init)
+        tree["value"].append(draw(st.floats(-5.0, 5.0)))
+        if depth < 9 and len(tree["feature"]) < max_nodes and draw(st.booleans()):
+            tree["feature"][i] = draw(st.integers(0, num_features - 1))
+            tree["threshold"][i] = draw(levels)
+            tree["left"][i] = node(depth + 1)
+            tree["right"][i] = node(depth + 1)
+        return i
+
+    node(0)
+    return tree
+
+
+@st.composite
+def models_and_rows(draw):
+    """A trained model, or a hand-built one often deeper than its params say, plus
+    rows whose values often equal a threshold."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 30))
+        X = np.asarray(draw(st.lists(levels, min_size=n * d, max_size=n * d))).reshape(n, d)
+        y = np.asarray(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+        model = train(X, y, GbrtParams(num_trees=draw(st.integers(0, 4)),
+                                       max_depth=draw(st.integers(0, 4)),
+                                       learning_rate=draw(st.sampled_from([0.1, 0.35, 1.0])),
+                                       min_samples_leaf=draw(st.integers(1, 3))))
+    else:
+        trees = draw(st.lists(hand_tree(d), min_size=1, max_size=4))
+        model = model_from_dict({
+            "format": "corpus-eta-gbrt", "version": 1,
+            "base_score": draw(st.floats(-5.0, 5.0)), "num_features": d,
+            "params": {"num_trees": len(trees), "max_depth": draw(st.integers(0, 2)),
+                       "learning_rate": 0.35, "min_samples_leaf": 1},
+            "trees": trees})
+    n_rows = draw(st.integers(1, 12))
+    thresholds = sorted({float(t) for tree in model.trees
+                         for f, t in zip(tree.feature, tree.threshold) if f >= 0})
+    cells = st.one_of(levels, st.floats(-4.0, 4.0), *(
+        [st.sampled_from(thresholds)] if thresholds else []))
+    rows = np.asarray(draw(st.lists(cells, min_size=n_rows * d,
+                                    max_size=n_rows * d))).reshape(n_rows, d)
+    return model, rows
+
+
+class TestPredictMatchesTreeWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(models_and_rows(), st.sampled_from(["C", "F", "strided"]))
+    def test_predict_equals_node_by_node_walk(self, case, layout):
+        model, rows = case
+        expected = np.array([walk_predict(model, row) for row in rows])
+        if layout == "F":
+            rows = np.asfortranarray(rows)
+        elif layout == "strided":
+            wide = np.zeros((rows.shape[0] * 2, rows.shape[1] * 3))
+            wide[::2, ::3] = rows
+            rows = wide[::2, ::3]
+        assert np.array_equal(predict(model, rows), expected)
+        for i, row in enumerate(rows):
+            assert predict(model, row) == expected[i]
+
+    def test_hand_tree_deeper_than_max_depth(self):
+        # a chain of four splits on feature 0 under params.max_depth = 1
+        doc = {"format": "corpus-eta-gbrt", "version": 1, "base_score": 0.0,
+               "num_features": 1,
+               "params": {"num_trees": 1, "max_depth": 1, "learning_rate": 1.0,
+                          "min_samples_leaf": 1},
+               "trees": [{"feature": [0, -1, 0, -1, 0, -1, 0, -1, -1],
+                          "threshold": [0.0, 0, 1.0, 0, 2.0, 0, 3.0, 0, 0],
+                          "left": [1, -1, 3, -1, 5, -1, 7, -1, -1],
+                          "right": [2, -1, 4, -1, 6, -1, 8, -1, -1],
+                          "value": [0, 10.0, 0, 11.0, 0, 12.0, 0, 13.0, 14.0]}]}
+        model = model_from_dict(doc)
+        rows = np.array([[-1.0], [0.0], [0.5], [1.0], [2.0], [3.0], [3.5]])
+        assert predict(model, rows).tolist() == [10.0, 10.0, 11.0, 11.0, 12.0, 13.0, 14.0]
 
 
 class TestSerialization:
@@ -479,6 +591,10 @@ class TestFeatureMapping:
             task = task_map[task_id]
             expected = feature_row(corpus.clip(task.clip_id), task)
             assert np.array_equal(rows[i], expected)
+
+    def test_no_tasks_give_an_empty_matrix(self):
+        rows = feature_matrix(make_corpus(n_clips=1), [])
+        assert rows.shape == (0, len(FEATURE_NAMES))
 
     def test_unknown_task_rejected(self):
         corpus = make_corpus(n_clips=1)

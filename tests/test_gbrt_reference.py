@@ -71,3 +71,34 @@ def test_trees_identical_to_mask_reference(case):
 def test_any_row_permutation_gives_the_reference_trees(case):
     X, y, params, perm = case
     assert_same_as_reference(train(X[perm], y[perm], params), reference_train(X, y, params))
+
+
+@st.composite
+def large_training_sets(draw):
+    """Leaves above 128 rows, where numpy's pairwise sum changes its shape."""
+    n = draw(st.integers(130, 600))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def column():
+        kind = draw(st.sampled_from(["constant", "levels", "free"]))
+        if kind == "constant":
+            return np.full(n, draw(values))
+        if kind == "levels":
+            return rng.choice(draw(st.lists(values, min_size=2, max_size=4)), size=n)
+        return rng.uniform(-1e3, 1e3, size=n)
+
+    X = np.column_stack([column() for _ in range(d)])
+    y = column()
+    params = GbrtParams(num_trees=draw(st.integers(1, 3)),
+                        max_depth=draw(st.integers(0, 2)),
+                        learning_rate=draw(st.sampled_from([0.1, 0.35, 1.0])),
+                        min_samples_leaf=draw(st.integers(1, 40)))
+    return X, y, params
+
+
+@settings(max_examples=20, deadline=None)
+@given(large_training_sets())
+def test_large_leaves_identical_to_mask_reference(case):
+    X, y, params = case
+    assert_same_as_reference(train(X, y, params), reference_train(X, y, params))
