@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from corpus_eta.clustering import cluster_clips, task_labels
-from corpus_eta.gbrt import GbrtParams, feature_matrix, train
+from corpus_eta.gbrt import GbrtParams, feature_matrix
 from corpus_eta.harness import SynthSpec, run_realization, synth_corpus
-from corpus_eta.predictors import bp_predict, cp_predict, cxp_order, xp_predict
+from corpus_eta.predictors import bp_predict, cp_predict, cxp_order, predict_remaining
 
 
 def main():
@@ -47,12 +47,11 @@ def main():
 
     params = GbrtParams(num_trees=40, max_depth=5, learning_rate=0.2,
                         min_samples_leaf=2)
-    targets = np.log([seconds[tid] for tid in done])
-    model = train(feature_matrix(corpus, done), targets, params)
-    rows = feature_matrix(corpus, queued)
-    xp = xp_predict(model, {tid: rows[i] for i, tid in enumerate(queued)})
+    xp = predict_remaining("XP", [seconds[tid] for tid in done], total,
+                           rows=feature_matrix(corpus, order), model=params)
     print(f"XP   regresses log-seconds on task features:   "
           f"{xp.T_hat:12,.0f} s ({100 * (xp.T_hat / truth - 1):+6.1f}%)")
+    print(f"     trees per stage, added as tasks completed: {xp.model.stages}")
 
     balanced = cxp_order(corpus, assignment, seed=99)
     print(f"\nCXP reorders the queue so early tasks cover all clusters;")

@@ -214,12 +214,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    """One-shot prediction: the completed tasks in corpus order, then the queued ones."""
+    """One-shot prediction: the completed tasks in times.csv row order, which is
+    the order they finished, then the queued ones in corpus order."""
     config = load_config(args.config)
     corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
                          encoders=args.encoders)
     times = corpus.times or {}
-    done = [t for t in corpus.tasks if t.task_id in times]
+    task_map = corpus.task_map()
+    done = [task_map[task_id] for task_id in times]
     queued = [t for t in corpus.tasks if t.task_id not in times]
 
     system = args.system

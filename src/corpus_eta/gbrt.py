@@ -25,6 +25,13 @@ Prediction walks all rows down a tree together, one level per step.  Leaves
 act as self-loops, so each step is the same few gathers over every row, and
 the walk stops once no row sits on an internal node.
 
+A model may grow in stages.  ``add_stage`` continues boosting a fitted
+model on another training set, from the model's own output on it (its
+margin), as training continuation does in other boosting libraries; the
+stage's trees fit the residuals against that margin.  Every tree of every
+stage is scaled by the one learning rate, so ``predict`` sums a staged model
+exactly as it sums a single fit.
+
 Targets are log-seconds; callers exponentiate predictions back to linear
 time.
 """
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +53,7 @@ FEATURE_NAMES = ("height", "num_pixels", "framerate", "num_frames",
                  "E", "h", "luma", "preset_ord", "cqp")
 
 MODEL_FORMAT = "corpus-eta-gbrt"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # 2 records the trees of each stage
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,12 @@ class GbrtModel:
     params: GbrtParams
     num_features: int
     train_mse: tuple[float, ...] = field(default=(), compare=False)
+    # trees per stage, in order; None means one stage holding every tree
+    stages: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.stages is None:
+            object.__setattr__(self, "stages", (len(self.trees),) if self.trees else ())
 
 
 def _clip_values(clip) -> tuple:
@@ -245,11 +258,7 @@ class _TreeBuilder:
         return feat, thr
 
 
-def train(rows, targets, params: GbrtParams = GbrtParams()) -> GbrtModel:
-    """Fit a boosted ensemble on (rows, targets).
-
-    Deterministic for fixed inputs: there is no subsampling, so no seed.
-    """
+def _training_set(rows, targets) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(rows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim == 1:
@@ -264,26 +273,68 @@ def train(rows, targets, params: GbrtParams = GbrtParams()) -> GbrtModel:
         raise ValidationError("targets contain NaN or infinity")
     if not np.isfinite(X).all():
         raise ValidationError("rows contain NaN or infinity")
+    return X, y
 
-    # Canonical row order: makes training invariant (bit-for-bit) to any
-    # permutation of the input rows.
-    order = np.lexsort((y,) + tuple(X[:, f] for f in reversed(range(X.shape[1]))))
-    X = np.ascontiguousarray(X[order])
-    y = y[order]
 
-    base = float(np.mean(y))
-    pred = np.full(X.shape[0], base)
+def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows sorted by features, then target: training on them is invariant
+    (bit-for-bit) to any permutation of the input rows."""
+    return np.lexsort((y,) + tuple(X[:, f] for f in reversed(range(X.shape[1]))))
+
+
+def _boost(X: np.ndarray, y: np.ndarray, pred: np.ndarray, params: GbrtParams,
+           num_trees: int) -> tuple[tuple[RegressionTree, ...], tuple[float, ...]]:
+    """num_trees trees on rows in canonical order, each fitting y - pred."""
+    X = np.ascontiguousarray(X)
     builder = _TreeBuilder(X, params)
     trees = []
     mse_hist = []
-    for _ in range(params.num_trees):
+    for _ in range(num_trees):
         tree, out = builder.build(y - pred)
         pred = pred + params.learning_rate * out
         trees.append(tree)
         err = y - pred
         mse_hist.append(float(np.mean(err * err)))
-    return GbrtModel(base_score=base, trees=tuple(trees), params=params,
-                     num_features=X.shape[1], train_mse=tuple(mse_hist))
+    return tuple(trees), tuple(mse_hist)
+
+
+def train(rows, targets, params: GbrtParams = GbrtParams()) -> GbrtModel:
+    """Fit a boosted ensemble on (rows, targets).
+
+    Deterministic for fixed inputs: there is no subsampling, so no seed.
+    """
+    X, y = _training_set(rows, targets)
+    order = _canonical_order(X, y)
+    X, y = X[order], y[order]
+    base = float(np.mean(y))
+    trees, mse_hist = _boost(X, y, np.full(X.shape[0], base), params, params.num_trees)
+    return GbrtModel(base_score=base, trees=trees, params=params,
+                     num_features=X.shape[1], train_mse=mse_hist)
+
+
+def add_stage(model: GbrtModel, rows, targets, num_trees: int, margin) -> GbrtModel:
+    """``model`` plus one more stage of num_trees trees fitted on (rows, targets).
+
+    ``margin`` is model's output on the rows (``predict(model, rows)``); the
+    new trees fit targets - margin, with model's depth, leaf size and
+    learning rate. Like ``train``, the stage is bit-identical under any
+    permutation of its rows.
+    """
+    X, y = _training_set(rows, targets)
+    if X.shape[1] != model.num_features:
+        raise ValidationError(
+            f"model expects {model.num_features} features, got {X.shape[1]}")
+    margin = np.asarray(margin, dtype=np.float64)
+    if margin.shape != y.shape:
+        raise ValidationError(f"{y.size} targets but margin has shape {margin.shape}")
+    if not np.isfinite(margin).all():
+        raise ValidationError("margin contains NaN or infinity")
+    if num_trees < 1:
+        raise ValidationError(f"a stage needs at least one tree, got {num_trees}")
+    order = _canonical_order(X, y)  # equal rows have equal margins
+    trees, mse_hist = _boost(X[order], y[order], margin[order], model.params, num_trees)
+    return replace(model, trees=model.trees + trees, stages=model.stages + (num_trees,),
+                   train_mse=model.train_mse + mse_hist)
 
 
 def _tree_outputs(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
@@ -306,8 +357,13 @@ def _tree_outputs(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     return tree.value.take(idx)
 
 
-def predict(model: GbrtModel, rows) -> np.ndarray:
-    """Ensemble prediction in log-time units for a matrix of feature rows."""
+def predict(model: GbrtModel, rows, *, margin=None) -> np.ndarray:
+    """Ensemble prediction in log-time units for a matrix of feature rows.
+
+    With ``margin``, the output on the rows of every stage but the last, only
+    the last stage's trees are walked; the result is still bit-identical to
+    ``predict(model, rows)``.
+    """
     X = np.asarray(rows, dtype=np.float64)
     single = X.ndim == 1
     if single:
@@ -320,8 +376,15 @@ def predict(model: GbrtModel, rows) -> np.ndarray:
             f"model expects {model.num_features} features, got {X.shape[1]}")
     if not np.isfinite(X).all():
         raise ValidationError("rows contain NaN or infinity")
-    out = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
+    trees = model.trees
+    if margin is None:
+        out = np.full(X.shape[0], model.base_score)
+    else:
+        out = np.array(margin, dtype=np.float64).reshape(-1)
+        if out.size != X.shape[0]:
+            raise ValidationError(f"{X.shape[0]} rows but {out.size} margins")
+        trees = trees[len(trees) - (model.stages[-1] if model.stages else 0):]
+    for tree in trees:
         out += model.params.learning_rate * _tree_outputs(tree, X)
     return out[0] if single else out
 
@@ -332,6 +395,7 @@ def model_to_dict(model: GbrtModel) -> dict:
         "version": MODEL_VERSION,
         "base_score": model.base_score,
         "num_features": model.num_features,
+        "stages": list(model.stages),
         "params": {
             "num_trees": model.params.num_trees,
             "max_depth": model.params.max_depth,
@@ -376,8 +440,9 @@ def model_from_dict(doc: dict) -> GbrtModel:
     """Build a model from its JSON document; reject any structurally invalid one."""
     if doc.get("format") != MODEL_FORMAT:
         raise ValidationError(f"not a {MODEL_FORMAT} document")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValidationError(f"unsupported model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version not in (1, MODEL_VERSION):
+        raise ValidationError(f"unsupported model version {version!r}")
     try:
         params = GbrtParams(**doc["params"])
         trees = tuple(RegressionTree(
@@ -388,16 +453,25 @@ def model_from_dict(doc: dict) -> GbrtModel:
             value=np.asarray(t["value"], dtype=np.float64)) for t in doc["trees"])
         base_score = float(doc["base_score"])
         num_features = int(doc["num_features"])
+        # version 1 predates stages: its trees form one stage
+        stages = ([len(trees)] if trees else []) if version == 1 else doc["stages"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model document: {exc!r}") from exc
     if not math.isfinite(base_score):
         raise ValidationError(f"base_score must be finite, got {base_score}")
-    if len(trees) != params.num_trees:
-        raise ValidationError(f"{len(trees)} trees but params.num_trees is {params.num_trees}")
+    if not (isinstance(stages, list) and all(type(s) is int and s >= 1 for s in stages)):
+        raise ValidationError(
+            f"stages must be a list of tree counts of at least 1, got {stages!r}")
+    if sum(stages) != len(trees):
+        raise ValidationError(f"stages hold {sum(stages)} trees but the model has {len(trees)}")
+    first = stages[0] if stages else 0
+    if first != params.num_trees:
+        raise ValidationError(
+            f"stage 0 has {first} trees but params.num_trees is {params.num_trees}")
     for k, tree in enumerate(trees):
         _check_tree(k, tree, num_features)
     return GbrtModel(base_score=base_score, trees=trees, params=params,
-                     num_features=num_features)
+                     num_features=num_features, stages=tuple(stages))
 
 
 def save_model(path, model: GbrtModel) -> None:

@@ -35,7 +35,7 @@ from .predictors import bp_predict, cp_predict  # noqa: F401
 DEFAULT_C_GRID = tuple(i / 50.0 for i in range(1, 50))
 
 REPORT_HEADER = ["system", "c", "mape", "r2", "sape"]
-REALISATIONS_HEADER = ["system", "seed", "c", "mape", "r2", "sape", "n"]
+REALISATIONS_HEADER = ["system", "seed", "c", "mape", "r2", "sape", "n", "signed_sape"]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         labels = task_labels(assignment, [tmap[tid] for tid in order])
     elif system != "BP":
         rows = feature_matrix(corpus, order)
-    gxp_t_hat = None
+    gxp_t_hat = cache = None
     if system == "GXP":
         # the pre-trained model ignores the completed tasks, so one prediction
         # of every held-out task serves each c-point
@@ -232,8 +232,10 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         if gxp_t_hat is not None:
             t_hat = gxp_t_hat[n_done:]
         else:
-            t_hat = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels,
-                                      model=gbrt_params).t_hat
+            # XP and CXP hand each c-point the stages the earlier ones fitted
+            res = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels,
+                                    model=gbrt_params, cache=cache)
+            t_hat, cache = res.t_hat, res.cache
         per_c[float(c)] = evaluate(t[n_done:], t_hat)
     return RealizationResult(system=system, seed=seed, per_c=per_c)
 
@@ -288,7 +290,8 @@ def _mean_report(reports: Sequence[MetricReport]) -> MetricReport:
     return MetricReport(mape=math.fsum(r.mape for r in reports) / n,
                         r2=math.fsum(r.r2 for r in reports) / n,
                         sape=math.fsum(r.sape for r in reports) / n,
-                        n=reports[0].n)
+                        n=reports[0].n,
+                        signed_sape=math.fsum(r.signed_sape for r in reports) / n)
 
 
 def monte_carlo(corpus: Corpus, config: SweepConfig,
@@ -379,7 +382,8 @@ def write_realisations_csv(path, result: SweepResult) -> None:
         for c in result.config.c_grid:
             rep = real.per_c[float(c)]
             rows.append([real.system, real.seed, float_text(c), float_text(rep.mape),
-                         float_text(rep.r2), float_text(rep.sape), rep.n])
+                         float_text(rep.r2), float_text(rep.sape), rep.n,
+                         float_text(rep.signed_sape)])
     write_csv(path, REALISATIONS_HEADER, rows)
 
 

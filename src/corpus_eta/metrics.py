@@ -2,7 +2,8 @@
 
 MAPE and R^2 grade per-task predictions; the sum absolute percentage error
 (SAPE) grades the aggregate: the absolute error of the summed prediction
-over the remaining tasks, as a percentage of the summed actual time.
+over the remaining tasks, as a percentage of the summed actual time. The
+signed SAPE keeps the error's sign, negative when the prediction runs low.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ class MetricReport:
     r2: float    # may be negative; NaN when the actuals are constant
     sape: float  # percent
     n: int       # tasks evaluated
+    signed_sape: float  # percent; negative when the prediction runs low
 
 
 def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -55,8 +57,8 @@ def r2(actual, predicted) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def sape(actual_remaining, predicted_remaining) -> float:
-    """Absolute percentage error of the aggregated remaining time, in percent."""
+def signed_sape(actual_remaining, predicted_remaining) -> float:
+    """Percentage error of the aggregated remaining time, predicted minus actual."""
     a, p = _pair(actual_remaining, predicted_remaining)
     if a.size == 0:
         raise ValidationError("SAPE undefined at full completion")
@@ -65,7 +67,12 @@ def sape(actual_remaining, predicted_remaining) -> float:
     total_actual = math.fsum(a.tolist())
     if not total_actual > 0.0:
         raise ValidationError("sape requires a positive actual total")
-    return abs(total_actual - math.fsum(p.tolist())) / total_actual * 100.0
+    return (math.fsum(p.tolist()) - total_actual) / total_actual * 100.0
+
+
+def sape(actual_remaining, predicted_remaining) -> float:
+    """Absolute percentage error of the aggregated remaining time, in percent."""
+    return abs(signed_sape(actual_remaining, predicted_remaining))
 
 
 def evaluate(actual, predicted) -> MetricReport:
@@ -79,4 +86,6 @@ def evaluate(actual, predicted) -> MetricReport:
         r2_val = r2(a, p)
     except ValidationError:
         r2_val = float("nan")
-    return MetricReport(mape=mape(a, p), r2=r2_val, sape=sape(a, p), n=int(a.size))
+    signed = signed_sape(a, p)
+    return MetricReport(mape=mape(a, p), r2=r2_val, sape=abs(signed), n=int(a.size),
+                        signed_sape=signed)

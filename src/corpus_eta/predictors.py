@@ -7,6 +7,10 @@ from XP only in that the corpus is processed in cluster-stratified order.
 GXP is the generalised variant, trained once on held-out source groups
 instead of online.
 
+XP and CXP refit in stages as tasks complete (``_refit_stages``): each
+stage adds trees fitted to the log-time residuals of a longer completed
+prefix, so the model carries forward rather than starting over.
+
 ``predict_remaining`` is the one path from a completion state to a
 prediction; the Monte-Carlo sweep grades it and ``corpus-eta predict``
 ships it.
@@ -23,9 +27,23 @@ import numpy as np
 from .clustering import ClusterAssignment, task_labels
 from .corpus import Corpus, to_log_time
 from .errors import PredictionError, ValidationError
-from .gbrt import GbrtModel, GbrtParams, feature_matrix, predict, train
+from .gbrt import GbrtModel, GbrtParams, add_stage, feature_matrix, predict, train
 
 SYSTEMS = ("BP", "CP", "XP", "CXP", "GXP")
+
+
+@dataclass(frozen=True)
+class StageCache:
+    """XP or CXP stages fitted on one processing order, for a later call on it.
+
+    Every stage ends at a schedule boundary, so each later completion point of
+    the same order starts with these stages. ``output`` is the model's
+    log-time output on every task of the order.
+    """
+
+    model: GbrtModel
+    plan: tuple[tuple[int, int], ...]  # (completed rows, trees) of each stage
+    output: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -37,6 +55,7 @@ class AggregatePrediction:
     t_bar: float | None = None                   # BP: the global mean
     cluster_means: dict[int, float] | None = None  # CP: per-cluster means
     model: GbrtModel | None = None               # XP, CXP, GXP: the model used
+    cache: StageCache | None = None              # XP, CXP: stages to reuse
 
 
 def _mean(times: Sequence[float]) -> float:
@@ -102,33 +121,90 @@ def xp_predict(model: GbrtModel, remaining: Mapping[str, Sequence[float]],
 
     t_hat follows the iteration order of ``remaining``.
     """
-    return _model_total(model, np.asarray(list(remaining.values()), dtype=np.float64),
-                        c, system)
-
-
-def _model_total(model: GbrtModel, rows: np.ndarray, c: float,
-                 system: str) -> AggregatePrediction:
-    if len(rows) == 0:
+    if not remaining:
         raise PredictionError("nothing remaining to predict")
-    per_task = np.exp(predict(model, rows))
+    rows = np.asarray(list(remaining.values()), dtype=np.float64)
+    return _model_total(model, predict(model, rows), c, system)
+
+
+def _model_total(model: GbrtModel, log_t: np.ndarray, c: float, system: str,
+                 cache: StageCache | None = None) -> AggregatePrediction:
+    per_task = np.exp(log_t)
     return AggregatePrediction(system=system, c=c, t_hat=per_task,
-                               T_hat=math.fsum(per_task.tolist()), model=model)
+                               T_hat=math.fsum(per_task.tolist()), model=model, cache=cache)
+
+
+def _first_boundary(total_tasks: int) -> int:
+    return -(-total_tasks // 50)  # 2 % of the tasks, rounded up
+
+
+def _refit_stages(n: int, total_tasks: int, num_trees: int) -> list[tuple[int, int]]:
+    """XP and CXP's stages at n completed tasks, as (completed rows, trees) pairs.
+
+    The boundaries b_j = ceil(N/50) * 2**j depend only on the task count N.
+    Up to b_0 the model is one stage of num_trees trees on all n rows. Past
+    it, num_trees trees on the first b_0 rows come first, then
+    ceil(num_trees/6) trees on the first b_j rows for each b_j < n, and as
+    many on all n rows.
+    """
+    first = _first_boundary(total_tasks)
+    if n <= first or num_trees == 0:
+        return [(n, num_trees)]
+    later = -(-num_trees // 6)
+    plan = [(first, num_trees)]
+    while plan[-1][0] * 2 < n:
+        plan.append((plan[-1][0] * 2, later))
+    plan.append((n, later))
+    return plan
+
+
+def _fit_stages(rows: np.ndarray, log_t: np.ndarray, total_tasks: int, params: GbrtParams,
+                cache: StageCache | None) -> tuple[GbrtModel, np.ndarray, StageCache | None]:
+    """The staged model on the completed rows, its output on every row, and
+    the stages that end at a boundary, for the next call on the same order."""
+    n = log_t.size
+    plan = _refit_stages(n, total_tasks, params.num_trees)
+    # every stage but the last ends at a boundary; the last does when n is one
+    at_boundary = n == _first_boundary(total_tasks) << (len(plan) - 1)
+    keep = len(plan) if at_boundary else len(plan) - 1
+    done = 0
+    model = output = None
+    if (cache is not None and cache.model.params == params
+            and tuple(plan[:len(cache.plan)]) == cache.plan
+            and cache.output.shape == (len(rows),)):
+        model, output, done = cache.model, cache.output, len(cache.plan)
+    else:
+        cache = None
+    for i, (end, trees) in enumerate(plan[done:], start=done):
+        if model is None:
+            model = train(rows[:end], log_t[:end], params)
+            output = predict(model, rows)
+        else:
+            model = add_stage(model, rows[:end], log_t[:end], trees, output[:end])
+            output = predict(model, rows, margin=output)
+        if i + 1 == keep:
+            cache = StageCache(model=model, plan=tuple(plan[:keep]), output=output)
+    return model, output, cache
 
 
 def predict_remaining(system: str, completed: Sequence[float], total_tasks: int, *,
                       rows: np.ndarray | None = None,
                       labels: Sequence[int] | None = None,
-                      model: GbrtModel | GbrtParams | None = None) -> AggregatePrediction:
+                      model: GbrtModel | GbrtParams | None = None,
+                      cache: StageCache | None = None) -> AggregatePrediction:
     """Predict every queued task, and their total, from a completion state.
 
     Inputs follow the processing order: ``completed`` holds the seconds of
-    the first n tasks, and ``rows`` (feature rows, for XP, CXP and GXP) or
-    ``labels`` (cluster labels, for CP) cover all ``total_tasks`` tasks,
-    completed first. XP and CXP fit on the completed rows and their
-    log-seconds when ``model`` is a GbrtParams; a fitted model (always, for
-    GXP) is used as is. ``t_hat`` is set for every system. Rows or labels
-    that do not cover exactly ``total_tasks`` tasks, and negative labels,
-    raise ValidationError.
+    the first n tasks, in the order they completed, and ``rows`` (feature
+    rows, for XP, CXP and GXP) or ``labels`` (cluster labels, for CP) cover
+    all ``total_tasks`` tasks, completed first. XP and CXP fit a staged model
+    on the completed rows and their log-seconds when ``model`` is a
+    GbrtParams (see ``_refit_stages``); a fitted model (always, for GXP) is
+    used as is. ``cache`` takes the ``cache`` of an earlier result on the
+    same rows, params and completed prefix, and skips refitting the stages
+    it holds; the result is bit-identical either way. ``t_hat`` is set for
+    every system. Rows or labels that do not cover exactly ``total_tasks``
+    tasks, and negative labels, raise ValidationError.
     """
     if system not in SYSTEMS:
         raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
@@ -158,13 +234,17 @@ def predict_remaining(system: str, completed: Sequence[float], total_tasks: int,
     if len(rows) != total_tasks:
         raise ValidationError(
             f"{system} needs one feature row per task: got {len(rows)} for {total_tasks}")
+    if n >= total_tasks:
+        raise PredictionError("nothing remaining to predict")
+    c = n / total_tasks
     if isinstance(model, GbrtParams) and system != "GXP":
         if n == 0:
             raise PredictionError(f"{system} needs at least one completed task to train on")
-        model = train(rows[:n], np.log(seconds), model)
+        model, output, cache = _fit_stages(rows, np.log(seconds), total_tasks, model, cache)
+        return _model_total(model, output[n:], c, system, cache)
     if not isinstance(model, GbrtModel):
         raise ValidationError(f"{system} needs a trained model")
-    return _model_total(model, rows[n:], n / total_tasks, system)
+    return _model_total(model, predict(model, rows[n:]), c, system)
 
 
 def cxp_order(corpus: Corpus, assignment: ClusterAssignment, seed: int) -> list[str]:

@@ -289,7 +289,7 @@ class TestSimulate:
                               "--corpus-out", str(corpus_dir)])
         assert rc == 0
         lines = reals.read_text().splitlines()
-        assert lines[0] == "system,seed,c,mape,r2,sape,n"
+        assert lines[0] == "system,seed,c,mape,r2,sape,n,signed_sape"
         assert len(lines) == 1 + 2 * 2 * 2  # systems x realisations x grid
         assert (corpus_dir / "features.csv").exists()
         assert (corpus_dir / "times.csv").exists()
@@ -494,6 +494,67 @@ class TestPredict:
         assert rc == 1
         assert "E must be finite" in capsys.readouterr().err
 
+    def test_model_out_records_the_stages(self, corpus_files, tmp_path, capsys):
+        corpus, features, _ = corpus_files
+        times = partial_times(tmp_path, corpus, 6)  # boundaries 1, 2, 4 of 24 tasks
+        model_path = tmp_path / "model.json"
+        assert main(["predict", "--features", str(features), "--times", str(times),
+                     "--encoders", "x264", "--system", "XP", "--trees", "6",
+                     "--model-out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        assert doc["version"] == 2
+        assert doc["stages"] == [6, 1, 1, 1]
+        assert len(doc["trees"]) == 9
+
+    @pytest.mark.parametrize("stages", [[], [5, 0], [4]])
+    def test_bad_stage_list_exits_1(self, corpus_files, tmp_path, capsys, stages):
+        corpus, features, _ = corpus_files
+        times = partial_times(tmp_path, corpus, 1)
+        model_path = tmp_path / "model.json"
+        assert main(["predict", "--features", str(features), "--times", str(times),
+                     "--encoders", "x264", "--system", "XP", "--trees", "5",
+                     "--model-out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        assert doc["stages"] == [5]
+        doc["stages"] = stages
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["predict", "--features", str(features), "--encoders", "x264",
+                   "--system", "GXP", "--model-in", str(model_path)])
+        assert rc == 1
+        assert "stage" in capsys.readouterr().err
+
+    def test_reordered_times_keep_order_free_outputs(self, tmp_path, capsys):
+        """BP, CP and GXP ignore the completion order, and so does XP up to the
+        first stage boundary (ceil(240/50) = 5 tasks)."""
+        corpus = with_random_times(make_corpus(n_clips=20, encoders=("x264",),
+                                               rng=np.random.default_rng(3)),
+                                   np.random.default_rng(4))
+        features = tmp_path / "features.csv"
+        save_features_csv(features, corpus.clips)
+        model_path = tmp_path / "model.json"
+        ids = [t.task_id for t in corpus.tasks]
+        rng = np.random.default_rng(9)
+        # the XP calls write the model GXP then reads
+        for system, n in (("XP", 4), ("XP", 5), ("BP", 60), ("CP", 60), ("GXP", 60)):
+            done = [ids[i] for i in rng.permutation(len(ids))[:n]]
+            outputs = []
+            for k, order in enumerate((done, done[::-1], sorted(done))):
+                times = tmp_path / f"times{k}.csv"
+                save_times_csv(times, {t: corpus.times[t] for t in order})
+                per_task = tmp_path / f"per_task{k}.csv"
+                argv = ["predict", "--features", str(features), "--times", str(times),
+                        "--encoders", "x264", "--system", system, "--k", "3",
+                        "--trees", "6", "--per-task-out", str(per_task)]
+                if system == "GXP":
+                    argv += ["--model-in", str(model_path)]
+                elif system == "XP":
+                    argv += ["--model-out", str(model_path)]
+                assert main(argv) == 0
+                outputs.append((capsys.readouterr().out, per_task.read_bytes(),
+                                model_path.read_bytes() if system == "XP" else None))
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], (system, n)
+
     def test_nothing_left_to_predict_exits_1(self, corpus_files, capsys):
         _, features, times = corpus_files
         rc = main(["predict", "--features", str(features), "--times", str(times),
@@ -541,3 +602,44 @@ class TestReport:
         assert rc == 1
         err = capsys.readouterr().err
         assert "cannot read" in err and "nope.csv" in err
+
+
+class TestChainedPredictMatchesSweep:
+    """Separate ``predict`` calls on a growing ``times.csv`` grade exactly like
+    one sweep realisation, which reuses its stages from one c-point to the next."""
+
+    GRID = (0.05, 0.1, 0.25, 0.5)
+
+    @pytest.mark.parametrize("system", ["XP", "CXP"])
+    def test_each_c_scores_the_sweep_metrics(self, system, tmp_path):
+        from corpus_eta.clustering import cluster_clips
+        from corpus_eta.gbrt import GbrtParams
+        from corpus_eta.metrics import evaluate
+        from corpus_eta.predictors import cxp_order
+
+        corpus = harness.synth_corpus(harness.SynthSpec(n_clips=18, num_groups=3), seed=5)
+        seed = 11
+        assignment = cluster_clips(corpus.clips, k=3, seed=seed)
+        params = GbrtParams(num_trees=8, max_depth=3, learning_rate=0.3, min_samples_leaf=2)
+        graded = harness.run_realization(corpus, system, seed, self.GRID,
+                                         assignment=assignment, gbrt_params=params).per_c
+        if system == "CXP":
+            order = cxp_order(corpus, assignment, seed)
+        else:
+            ids = [t.task_id for t in corpus.tasks]
+            order = [ids[i] for i in np.random.default_rng(seed).permutation(len(ids))]
+        features = tmp_path / "features.csv"
+        save_features_csv(features, corpus.clips)
+        for c in self.GRID:
+            n = int(c * len(order))
+            times = tmp_path / "times.csv"
+            save_times_csv(times, {t: corpus.times[t] for t in order[:n]})
+            per_task = tmp_path / "per_task.csv"
+            assert main(["predict", "--features", str(features), "--times", str(times),
+                         "--encoders", "x264", "--system", system,
+                         "--trees", "8", "--depth", "3", "--learning-rate", "0.3",
+                         "--min-leaf", "2", "--per-task-out", str(per_task)]) == 0
+            shipped = dict(line.split(",") for line in per_task.read_text().splitlines()[1:])
+            report = evaluate([corpus.times[t].seconds for t in order[n:]],
+                              [float(shipped[t]) for t in order[n:]])
+            assert report == graded[c], c

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from corpus_eta.corpus import Corpus, EncodeTask, expand_tasks
 from corpus_eta.errors import ValidationError
-from corpus_eta.gbrt import (FEATURE_NAMES, GbrtModel, GbrtParams, feature_matrix,
-                             feature_row, load_model, model_from_dict,
+from corpus_eta.gbrt import (FEATURE_NAMES, GbrtModel, GbrtParams, add_stage,
+                             feature_matrix, feature_row, load_model, model_from_dict,
                              model_to_dict, predict, save_model, train)
 
 from helpers import make_clip, make_corpus
@@ -429,7 +429,8 @@ class TestSerialization:
         save_model(path, model)
         doc = json.loads(path.read_text())
         assert doc["format"] == "corpus-eta-gbrt"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
+        assert doc["stages"] == [2]
         assert doc["num_features"] == 1
 
     def test_wrong_format_rejected(self):
@@ -449,6 +450,121 @@ class TestSerialization:
         path.write_text("{не json")
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_model(path)
+
+
+def staged_model():
+    """Three stages: 3 trees on 30 rows, then 2 on 45 and 1 on 60."""
+    rng = np.random.default_rng(12)
+    X, y = rng.normal(size=(60, 3)), rng.normal(size=60)
+    model = train(X[:30], y[:30], GbrtParams(num_trees=3, max_depth=2, learning_rate=0.5))
+    for end, k in ((45, 2), (60, 1)):
+        model = add_stage(model, X[:end], y[:end], k, predict(model, X[:end]))
+    return model, X, y
+
+
+class TestStages:
+    def test_single_fit_is_one_stage(self):
+        model = train(np.arange(8.0), np.arange(8.0), GbrtParams(num_trees=3))
+        assert model.stages == (3,)
+        assert train(np.arange(8.0), np.arange(8.0), GbrtParams(num_trees=0)).stages == ()
+
+    def test_stage_continues_from_the_margin(self):
+        model, X, y = staged_model()
+        assert model.stages == (3, 2, 1)
+        assert len(model.trees) == 6 and len(model.train_mse) == 6
+        # the stage's first tree fits the residuals against the earlier stages
+        first = train(X[:30], y[:30], model.params)
+        margin = predict(first, X[:45])
+        alone = add_stage(first, X[:45], y[:45], 2, margin)
+        assert model_to_dict(alone)["trees"] == model_to_dict(model)["trees"][:5]
+        assert alone.base_score == first.base_score
+        assert alone.train_mse[-1] < float(np.mean((y[:45] - margin) ** 2))
+
+    def test_margin_walks_only_the_last_stage(self):
+        model, X, _ = staged_model()
+        earlier = GbrtModel(model.base_score, model.trees[:5], model.params,
+                            model.num_features, stages=(3, 2))
+        margin = predict(earlier, X)
+        assert np.array_equal(predict(model, X, margin=margin), predict(model, X))
+        assert predict(model, X[7], margin=margin[7]) == predict(model, X[7])
+
+    def test_margin_of_wrong_length_rejected(self):
+        model, X, y = staged_model()
+        with pytest.raises(ValidationError, match="60 rows but 59 margins"):
+            predict(model, X, margin=np.zeros(59))
+        with pytest.raises(ValidationError, match="margin has shape"):
+            add_stage(model, X, y, 1, np.zeros(59))
+
+    def test_non_finite_margin_rejected(self):
+        model, X, y = staged_model()
+        margin = predict(model, X)
+        margin[3] = math.nan
+        with pytest.raises(ValidationError, match="margin contains NaN"):
+            add_stage(model, X, y, 1, margin)
+
+    def test_stage_needs_a_tree(self):
+        model, X, y = staged_model()
+        with pytest.raises(ValidationError, match="at least one tree"):
+            add_stage(model, X, y, 0, predict(model, X))
+
+    def test_feature_count_must_match(self):
+        model, X, y = staged_model()
+        with pytest.raises(ValidationError, match="expects 3 features, got 2"):
+            add_stage(model, X[:, :2], y, 1, predict(model, X))
+
+
+class TestStagedSerialization:
+    def test_roundtrip_keeps_stages_and_predictions(self, tmp_path):
+        model, X, _ = staged_model()
+        path = tmp_path / "staged.json"
+        save_model(path, model)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2 and doc["stages"] == [3, 2, 1]
+        assert doc["params"]["num_trees"] == 3
+        loaded = load_model(path)
+        assert loaded.stages == (3, 2, 1)
+        assert np.array_equal(predict(loaded, X), predict(model, X))
+        assert model_to_dict(loaded) == model_to_dict(model)
+
+    def test_roundtrip_without_trees(self):
+        model = train(np.zeros((3, 1)), np.arange(3.0), GbrtParams(num_trees=0))
+        loaded = model_from_dict(model_to_dict(model))
+        assert loaded.stages == () and loaded.base_score == 1.0
+
+    @pytest.mark.parametrize("num_trees", [0, 2])
+    def test_version_1_loads_as_one_stage(self, num_trees):
+        X = np.arange(8.0).reshape(-1, 1)
+        model = train(X, np.arange(8.0), GbrtParams(num_trees=num_trees))
+        doc = model_to_dict(model)
+        doc["version"] = 1
+        del doc["stages"]
+        loaded = model_from_dict(doc)
+        assert loaded.stages == model.stages
+        assert np.array_equal(predict(loaded, X), predict(model, X))
+
+    @pytest.mark.parametrize("stages, message", [
+        ([], "stages hold 0 trees but the model has 6"),
+        ([3, 0, 2, 1], "tree counts of at least 1"),
+        ([3, -1, 4], "tree counts of at least 1"),
+        ([3, 2.0, 1], "tree counts of at least 1"),
+        ([3, True, 2], "tree counts of at least 1"),
+        ("3,2,1", "tree counts of at least 1"),
+        ([3, 2], "stages hold 5 trees but the model has 6"),
+        ([3, 2, 2], "stages hold 7 trees but the model has 6"),
+        ([2, 3, 1], "stage 0 has 2 trees but params.num_trees is 3"),
+    ])
+    def test_bad_stage_list_rejected(self, stages, message):
+        model, _, _ = staged_model()
+        doc = model_to_dict(model)
+        doc["stages"] = stages
+        with pytest.raises(ValidationError, match=message):
+            model_from_dict(doc)
+
+    def test_missing_stage_list_rejected(self):
+        doc = model_to_dict(staged_model()[0])
+        del doc["stages"]
+        with pytest.raises(ValidationError, match="malformed model"):
+            model_from_dict(doc)
 
 
 def valid_doc():

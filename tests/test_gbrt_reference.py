@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_eta.gbrt import GbrtParams, train
+from corpus_eta.gbrt import GbrtParams, add_stage, predict, train
 
-from reference_gbrt import reference_train
+from reference_gbrt import MaskTreeBuilder, reference_train
 
 values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -102,3 +102,31 @@ def large_training_sets(draw):
 def test_large_leaves_identical_to_mask_reference(case):
     X, y, params = case
     assert_same_as_reference(train(X, y, params), reference_train(X, y, params))
+
+
+@settings(max_examples=150, deadline=None)
+@given(training_sets(), st.integers(1, 3), st.data())
+def test_stage_is_the_mask_reference_continued_from_the_margin(case, num_trees, data):
+    """add_stage grows the reference's trees on the residuals against the margin,
+    under any permutation of the stage's rows."""
+    X, y, params, perm = case
+    first = data.draw(st.integers(1, len(y)))
+    model = train(X[:first], y[:first], params)
+    staged = add_stage(model, X[perm], y[perm], num_trees, predict(model, X[perm]))
+
+    margin = predict(model, X)
+    order = np.lexsort((y,) + tuple(X[:, f] for f in reversed(range(X.shape[1]))))
+    Xc, yc, pred = np.ascontiguousarray(X[order]), y[order], margin[order]
+    builder = MaskTreeBuilder(Xc, [np.argsort(Xc[:, f], kind="stable")
+                                   for f in range(Xc.shape[1])], params)
+    trees, mse = [], []
+    for _ in range(num_trees):
+        tree, out = builder.build(yc - pred)
+        pred = pred + params.learning_rate * out
+        trees.append(tree)
+        mse.append(float(np.mean((yc - pred) ** 2)))
+    assert staged.stages == model.stages + (num_trees,)
+    assert staged.train_mse[len(model.trees):] == tuple(mse)
+    for got, want in zip(staged.trees[len(model.trees):], trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

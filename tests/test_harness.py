@@ -417,8 +417,11 @@ class TestReports:
         write_realisations_csv(path, result)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(REALISATIONS_HEADER)
-        assert lines[0] == "system,seed,c,mape,r2,sape,n"
+        assert lines[0] == "system,seed,c,mape,r2,sape,n,signed_sape"
         assert len(lines) == 1 + 2 * 2  # realisations x grid points
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert float(cells[5]) == abs(float(cells[7]))
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match=r"cannot read .*none\.csv"):

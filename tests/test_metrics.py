@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corpus_eta.errors import ValidationError
-from corpus_eta.metrics import MetricReport, evaluate, mape, r2, sape
+from corpus_eta.metrics import MetricReport, evaluate, mape, r2, sape, signed_sape
 
 
 # independent references: plain loops and exact summation, no shared code path
@@ -59,6 +59,11 @@ class TestHandValues:
     def test_sape_cancels_opposite_errors(self):
         assert sape([10.0, 10.0], [13.0, 7.0]) == 0.0
 
+    def test_signed_sape_is_negative_when_low(self):
+        # (21 - 20) / 20 * 100 and (18 - 20) / 20 * 100
+        assert signed_sape([10.0, 10.0], [9.0, 12.0]) == 5.0
+        assert signed_sape([10.0, 10.0], [9.0, 9.0]) == -10.0
+
 
 class TestBruteForceAgreement:
     def test_random_vectors(self):
@@ -69,6 +74,7 @@ class TestBruteForceAgreement:
             p = rng.uniform(-10.0, 120.0, size=n)
             assert mape(a, p) == pytest.approx(mape_oracle(a, p), rel=1e-12)
             assert sape(a, p) == pytest.approx(sape_oracle(a, p), rel=1e-12)
+            assert sape(a, p) == abs(signed_sape(a, p))
             if n >= 2:
                 assert r2(a, p) == pytest.approx(r2_oracle(a, p), rel=1e-12, abs=1e-12)
 
@@ -165,6 +171,7 @@ class TestEvaluate:
         assert report.r2 == r2(a, p)
         assert report.sape == sape(a, p)
         assert report.n == 2
+        assert report.signed_sape == signed_sape(a, p) == -30.0
 
     def test_constant_actual_reports_nan_r2(self):
         report = evaluate([5.0, 5.0], [4.0, 6.0])

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from corpus_eta.clustering import ClusterAssignment
 from corpus_eta.errors import PredictionError, ValidationError
-from corpus_eta.gbrt import GbrtParams, model_to_dict, predict, train
+from corpus_eta.gbrt import GbrtParams, add_stage, model_to_dict, predict, train
 from corpus_eta.predictors import (DEFAULT_CASCADE, SYSTEMS, CascadePolicy,
-                                   bp_predict, cascade_select, cp_predict,
+                                   _refit_stages, bp_predict, cascade_select, cp_predict,
                                    cxp_order, gxp_train_split, predict_remaining,
                                    xp_predict)
 
@@ -173,13 +173,19 @@ class TestPredictRemaining:
         seconds = np.exp(rng.normal(size=40))
         params = GbrtParams(num_trees=4, max_depth=2)
         pred = predict_remaining("CXP", seconds[:15], 40, rows=X, model=params)
-        model = train(X[:15], np.log(seconds[:15]), params)
+        # boundaries ceil(40/50) * 2**j = 1, 2, 4, 8: four trees on the first
+        # row, then ceil(4/6) = 1 tree on 2, 4 and 8 rows and on all 15
+        y = np.log(seconds[:15])
+        model = train(X[:1], y[:1], params)
+        for end in (2, 4, 8, 15):
+            model = add_stage(model, X[:end], y[:end], 1, predict(model, X[:end]))
         expected = xp_predict(model, {i: X[i] for i in range(15, 40)}, c=15 / 40,
                               system="CXP")
         assert pred.system == "CXP"
         assert pred.c == expected.c
         assert pred.T_hat == expected.T_hat
         assert np.array_equal(pred.t_hat, expected.t_hat)
+        assert pred.model.stages == (4, 1, 1, 1, 1)
         assert model_to_dict(pred.model) == model_to_dict(model)
 
     def test_fitted_model_used_as_is(self):
@@ -217,6 +223,111 @@ class TestPredictRemaining:
     def test_negative_cluster_label_rejected(self):
         with pytest.raises(ValidationError, match="cluster labels must be >= 0, got -1"):
             predict_remaining("CP", [1.0, 2.0], 4, labels=[0, -1, 0, 1])
+
+
+class TestRefitSchedule:
+    """XP and CXP's stages: boundaries ceil(N/50) * 2**j, ceil(trees/6) trees
+    in every stage after the first."""
+
+    @pytest.mark.parametrize("n, plan", [
+        (1, [(1, 30)]),
+        (144, [(144, 30)]),
+        (145, [(144, 30), (145, 5)]),
+        (288, [(144, 30), (288, 5)]),
+        (432, [(144, 30), (288, 5), (432, 5)]),
+        (720, [(144, 30), (288, 5), (576, 5), (720, 5)]),
+        (2880, [(144, 30), (288, 5), (576, 5), (1152, 5), (2304, 5), (2880, 5)]),
+    ])
+    def test_sweep_configuration(self, n, plan):
+        assert _refit_stages(n, 7200, 30) == plan
+
+    def test_small_corpus_and_budgets(self):
+        assert _refit_stages(15, 40, 4) == [(1, 4), (2, 1), (4, 1), (8, 1), (15, 1)]
+        assert _refit_stages(9, 101, 200) == [(3, 200), (6, 34), (9, 34)]
+        assert _refit_stages(9, 101, 0) == [(9, 0)]
+
+    @pytest.mark.parametrize("n", [1, 7, 8])
+    def test_up_to_the_first_boundary_it_is_one_fit(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(400, 3))
+        seconds = np.exp(rng.normal(size=400))
+        params = GbrtParams(num_trees=5, max_depth=3)
+        pred = predict_remaining("XP", seconds[:n], 400, rows=X, model=params)
+        model = train(X[:n], np.log(seconds[:n]), params)
+        assert model_to_dict(pred.model) == model_to_dict(model)
+        assert np.array_equal(pred.t_hat, np.exp(predict(model, X[n:])))
+
+
+@st.composite
+def staged_cases(draw):
+    """A processing order of 20-240 tasks, its times and a small GBRT."""
+    total = draw(st.integers(20, 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # few levels, so equal rows and equal times occur
+    X = rng.integers(0, 4, size=(total, 3)).astype(np.float64)
+    seconds = np.exp(rng.integers(0, 6, size=total) / 2.0)
+    params = GbrtParams(num_trees=draw(st.integers(1, 8)), max_depth=draw(st.integers(1, 3)),
+                        learning_rate=draw(st.sampled_from([0.35, 1.0])),
+                        min_samples_leaf=draw(st.integers(1, 3)))
+    return X, seconds, params, rng
+
+
+class TestStagedRefit:
+    @settings(max_examples=40, deadline=None)
+    @given(staged_cases(), st.data())
+    def test_stages_bit_identical_under_permutations_inside_each_stage(self, case, data):
+        X, seconds, params, rng = case
+        total = len(seconds)
+        n = data.draw(st.integers(1, total - 1))
+        perm = np.arange(total)
+        start = 0
+        for end, _ in _refit_stages(n, total, params.num_trees):
+            perm[start:end] = start + rng.permutation(end - start)
+            start = end
+        perm[n:] = n + rng.permutation(total - n)
+        want = predict_remaining("XP", seconds[:n], total, rows=X, model=params)
+        got = predict_remaining("XP", seconds[perm[:n]], total, rows=X[perm], model=params)
+        assert model_to_dict(got.model) == model_to_dict(want.model)
+        assert got.T_hat == want.T_hat
+
+    @settings(max_examples=30, deadline=None)
+    @given(staged_cases(), st.lists(st.floats(0.005, 0.95), min_size=1, max_size=8))
+    def test_cached_stages_equal_a_fresh_fit_at_every_c(self, case, grid):
+        X, seconds, params, _ = case
+        total = len(seconds)
+        cache = None
+        for c in sorted(grid):
+            n = max(1, math.floor(c * total))
+            cached = predict_remaining("CXP", seconds[:n], total, rows=X, model=params,
+                                       cache=cache)
+            fresh = predict_remaining("CXP", seconds[:n], total, rows=X, model=params)
+            assert model_to_dict(cached.model) == model_to_dict(fresh.model)
+            assert np.array_equal(cached.t_hat, fresh.t_hat)
+            assert cached.T_hat == fresh.T_hat
+            if cached.cache is not None:
+                assert np.array_equal(cached.cache.output, predict(cached.cache.model, X))
+            cache = cached.cache
+
+    def test_cache_from_other_params_is_ignored(self):
+        rng = np.random.default_rng(4)
+        X, seconds = rng.normal(size=(200, 3)), np.exp(rng.normal(size=200))
+        params = GbrtParams(num_trees=6, max_depth=2)
+        first = predict_remaining("XP", seconds[:16], 200, rows=X, model=params)
+        assert first.cache.plan == ((4, 6), (8, 1), (16, 1))
+        other = GbrtParams(num_trees=6, max_depth=3)
+        got = predict_remaining("XP", seconds[:50], 200, rows=X, model=other,
+                                cache=first.cache)
+        want = predict_remaining("XP", seconds[:50], 200, rows=X, model=other)
+        assert model_to_dict(got.model) == model_to_dict(want.model)
+
+    def test_only_boundary_stages_are_cached(self):
+        rng = np.random.default_rng(5)
+        X, seconds = rng.normal(size=(200, 3)), np.exp(rng.normal(size=200))
+        params = GbrtParams(num_trees=6, max_depth=2)
+        assert predict_remaining("XP", seconds[:3], 200, rows=X, model=params).cache is None
+        at_15 = predict_remaining("XP", seconds[:15], 200, rows=X, model=params)
+        assert at_15.model.stages == (6, 1, 1)
+        assert at_15.cache.plan == ((4, 6), (8, 1))
 
 
 class TestCxpOrder:
