@@ -10,8 +10,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import yaml
-
 from .clustering import DEFAULT_K
 from .errors import ConfigError
 from .gbrt import GbrtParams
@@ -70,6 +68,8 @@ def load_config(path=None) -> AppConfig:
         path = os.environ.get(ENV_VAR) or None
     if path is None:
         return AppConfig()
+    import yaml  # here, not at module level: most calls pass no config file
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

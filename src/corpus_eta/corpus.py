@@ -11,8 +11,11 @@ Every table the package writes or reads goes through ``write_csv``,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -195,12 +198,47 @@ def float_text(x) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open path for writing so that it changes only once the whole write succeeds.
+
+    The data goes to a sibling ``.tmp`` file, which is flushed, fsynced and then
+    renamed onto path. If the body raises, path keeps its old bytes and the
+    temporary file is removed. A target that exists and is not a regular file
+    (a FIFO, a symlink such as /dev/stdout) is written in place.
+    """
+    path = Path(path)
+    try:
+        in_place = not stat.S_ISREG(path.lstat().st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:  # name the file the caller asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a UTF-8 table in the default csv dialect: the header, then the rows.
 
     Cells are written with ``str``; callers pass float cells through ``float_text``.
+    The file is replaced only once every row is written (``atomic_open``).
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PRESET_ORD, Corpus
+from .corpus import PRESET_ORD, Corpus, atomic_open
 from .errors import ValidationError
 
 # Model input vector, one row per encode task.
@@ -475,7 +475,7 @@ def model_from_dict(doc: dict) -> GbrtModel:
 
 
 def save_model(path, model: GbrtModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh)
 
 

@@ -8,10 +8,11 @@ per-task and aggregate errors are scored in linear seconds.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -250,16 +251,8 @@ class SweepResult:
     realisations: tuple[RealizationResult, ...]
 
 
-def _run_one(context, job) -> RealizationResult:
-    corpus, c_grid, assignment, gbrt_params, gxp_model, gxp_test_ids = context
-    system, seed = job
-    return run_realization(corpus, system, seed, c_grid, assignment=assignment,
-                           gbrt_params=gbrt_params, gxp_model=gxp_model,
-                           gxp_test_ids=gxp_test_ids)
-
-
-# Set once per worker process by the pool initializer, so the corpus and
-# models travel to each worker once rather than inside every job.
+# Set once per worker process by the pool initializer, so the corpus travels to
+# each worker once rather than inside every job.
 _worker_context = None
 
 
@@ -270,8 +263,44 @@ def _init_worker(context) -> None:
     _worker_context = context
 
 
-def _run_in_worker(job) -> RealizationResult:
-    return _run_one(_worker_context, job)
+def _in_worker(fn, *args):
+    return fn(_worker_context, *args)
+
+
+class _InProcess:
+    """The executor for one worker: each job runs in this process as it is
+    submitted, and a job that raises raises from ``submit``."""
+
+    def __init__(self, context):
+        self.context = context
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(self.context, *args))
+        return future
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        pass
+
+
+# Jobs take the (corpus, c_grid, gbrt_params) context first; what the set-up
+# jobs produce travels inside the realisation jobs that need it.
+
+def _cluster_job(context, k: int, seed: int) -> ClusterAssignment:
+    return cluster_clips(context[0].clips, k=k, seed=seed)
+
+
+def _train_job(context, rows: np.ndarray, targets: np.ndarray) -> GbrtModel:
+    return train(rows, targets, context[2])
+
+
+def _realisation_job(context, system: str, seed: int, inputs: dict) -> RealizationResult:
+    corpus, c_grid, gbrt_params = context
+    return run_realization(corpus, system, seed, c_grid, gbrt_params=gbrt_params, **inputs)
+
+
+# realisation cost, heaviest first: XP and CXP refit GBRT stages at every c-point
+_HEAVIEST_FIRST = ("XP", "CXP", "GXP", "CP", "BP")
 
 
 def _worker_count(jobs: int | None, n_jobs: int) -> int:
@@ -301,40 +330,56 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
     Realisation i uses seed base_seed + i for every system, so systems that
     share the uniform ordering policy see identical orders. Realisations run
     in ``config.jobs`` worker processes, by default one per CPU this process
-    may use; with one worker they run in this process. Results do not depend
-    on scheduling: seeds fix each realisation completely, and results are
-    reassembled in config order.
+    may use; with one worker they run in this process. The workers fork as
+    soon as the corpus is loaded: k-means and the GXP fit are the first jobs,
+    and the systems that need their output are queued when it arrives.
+    Results do not depend on scheduling: seeds fix each realisation
+    completely, and results are reassembled in config order.
     """
     if corpus.times is None:
         raise ValidationError("corpus has no measured times")
-    needs_clusters = any(s in ("CP", "CXP") for s in config.systems)
-    if needs_clusters and assignment is None:
-        assignment = cluster_clips(corpus.clips, k=config.k, seed=config.base_seed)
+    # in the parent, so that a bad held-out group fails before any worker starts
+    split = gxp_train_split(corpus, config.test_groups) if "GXP" in config.systems else None
+    seeds = range(config.base_seed, config.base_seed + config.num_realisations)
 
-    gxp_model = None
-    gxp_test_ids = None
-    if "GXP" in config.systems:
-        split = gxp_train_split(corpus, config.test_groups)
-        gxp_model = train(split.train_rows, split.train_targets, config.gbrt)
-        gxp_test_ids = split.test_ids
-
-    context = (corpus, config.c_grid, assignment, config.gbrt, gxp_model, gxp_test_ids)
-    jobs = [(system, config.base_seed + i)
-            for system in config.systems
-            for i in range(config.num_realisations)]
-
-    workers = _worker_count(config.jobs, len(jobs))
+    context = (corpus, config.c_grid, config.gbrt)
+    workers = _worker_count(config.jobs, len(config.systems) * len(seeds))
     if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                    initargs=(context,))
-        try:
-            results = list(pool.map(_run_in_worker, jobs))
-        finally:
-            # map cancels its queued jobs when abandoned; cancel_futures also
-            # covers a Ctrl-C that lands while map is still submitting them
-            pool.shutdown(cancel_futures=True)
+        submit = functools.partial(pool.submit, _in_worker)
     else:
-        results = [_run_one(context, job) for job in jobs]
+        pool = _InProcess(context)
+        submit = pool.submit
+
+    futures: dict[tuple[str, int], Future] = {}
+
+    def queue(systems, inputs: dict) -> None:
+        for system in sorted(set(systems) & set(config.systems), key=_HEAVIEST_FIRST.index):
+            for seed in seeds:
+                futures[(system, seed)] = submit(_realisation_job, system, seed, inputs)
+
+    try:
+        setup: dict[Future, str] = {}
+        if any(s in ("CP", "CXP") for s in config.systems) and assignment is None:
+            setup[submit(_cluster_job, config.k, config.base_seed)] = "clusters"
+        if split is not None:
+            setup[submit(_train_job, split.train_rows, split.train_targets)] = "model"
+        ready = {"BP", "XP"} if assignment is None else {"BP", "XP", "CP", "CXP"}
+        queue(ready, {"assignment": assignment})
+        while setup:
+            done, _ = wait(setup, return_when=FIRST_COMPLETED)
+            for future in done:
+                if setup.pop(future) == "clusters":
+                    queue(("CP", "CXP"), {"assignment": future.result()})
+                else:
+                    queue(("GXP",), {"gxp_model": future.result(),
+                                     "gxp_test_ids": split.test_ids})
+        results = [futures[(system, seed)].result()
+                   for system in config.systems for seed in seeds]
+    finally:
+        # cancel_futures drops the queued jobs when a job fails or Ctrl-C lands
+        pool.shutdown(cancel_futures=True)
 
     mean: dict[tuple[str, float], MetricReport] = {}
     R = config.num_realisations

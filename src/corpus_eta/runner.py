@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import (TIMES_HEADER, Clip, Corpus, EncodeTask, float_text, load_times_csv,
-                     write_csv)
+from .corpus import (TIMES_HEADER, Clip, Corpus, EncodeTask, atomic_open, float_text,
+                     load_times_csv, write_csv)
 from .errors import EncodeError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -175,12 +175,8 @@ def _drop_torn_final_row(times_path: Path) -> None:
     logger.warning("%s: dropping unterminated final row %r left by an interrupted "
                    "write; its task will be encoded again",
                    times_path, data[len(keep):].decode("utf-8", "replace"))
-    tmp = times_path.with_name(times_path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_open(times_path, "wb") as fh:
         fh.write(keep)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, times_path)
 
 
 def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_path,

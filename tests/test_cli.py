@@ -323,6 +323,14 @@ class TestSimulate:
         assert rc == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    def test_kmeans_error_in_a_worker_exits_1(self, tmp_path, capsys):
+        rc = main(SIM_BASE + ["--k", "5", "--jobs", "2",
+                              "--report-out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "corpus-eta: error: k=5 exceeds the number of points (4)\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONUNBUFFERED="1",

@@ -1,13 +1,21 @@
 """YAML configuration loading: defaults, overrides, strict key checking."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from corpus_eta.cli import main
 from corpus_eta.clustering import DEFAULT_K
 from corpus_eta.config import ENV_VAR, AppConfig, load_config
 from corpus_eta.errors import ConfigError
 from corpus_eta.gbrt import GbrtParams
 from corpus_eta.harness import DEFAULT_C_GRID
 from corpus_eta.predictors import DEFAULT_CASCADE
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(tmp_path, text):
@@ -160,3 +168,30 @@ class TestRejections:
         path = write_config(tmp_path, "k: [unclosed\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
+
+
+class TestLazyYamlImport:
+    def test_importing_the_cli_does_not_load_yaml(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        probe = "import sys, corpus_eta.cli; print('yaml' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("text,msg", [
+        ("k: [unclosed\n", "invalid YAML in"),
+        (None, "cannot read config"),
+    ])
+    def test_bad_config_exits_1_with_the_config_error(self, tmp_path, capsys, text, msg):
+        path = tmp_path / "config.yaml"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=msg) as raised:
+            load_config(str(path))
+        rc = main(["simulate", "--synthetic", "--n-clips", "4", "--systems", "BP",
+                   "--config", str(path), "--report-out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"corpus-eta: error: {raised.value}\n"
+        assert not (tmp_path / "r.csv").exists()

@@ -1,7 +1,10 @@
 """Domain-type invariants, task expansion, the log-time transform, and CSV I/O."""
 
 import math
+import os
+import stat
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -371,6 +374,48 @@ class TestTableFormat:
         path = tmp_path / "t.csv"
         path.write_text("")
         assert list(read_csv(path, ["a", "b"])) == []
+
+
+class TestAtomicWrite:
+    """write_csv replaces its target only once every row is written."""
+
+    @staticmethod
+    def _rows_then_crash():
+        yield ["1", "2"]
+        raise RuntimeError("interrupted mid-write")
+
+    def test_a_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [["old", "row"]])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_csv(path, ["a", "b"], self._rows_then_crash())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_a_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], self._rows_then_crash())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_missing_directory_is_named_in_the_error(self, tmp_path):
+        path = tmp_path / "no" / "t.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            write_csv(path, ["a", "b"], [])
+        assert raised.value.filename == str(path)
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        path = tmp_path / "t.csv"
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_csv(path, ["a", "b"], [["1", "2"]])
+        reader.join(timeout=30)
+        assert received == [b"a,b\r\n1,2\r\n"]
+        assert stat.S_ISFIFO(path.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 class TestCsvErrors:

@@ -417,6 +417,22 @@ class TestSerialization:
         assert loaded.base_score == model.base_score
         assert model_to_dict(loaded) == model_to_dict(model)
 
+    def test_a_failed_save_keeps_the_old_model(self, tmp_path, monkeypatch):
+        model = train(np.arange(8.0), np.arange(8.0), GbrtParams(num_trees=2))
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        before = path.read_bytes()
+
+        def torn_dump(doc, fh):
+            fh.write('{"version": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="no space left"):
+            save_model(path, model)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     def test_training_history_not_persisted(self):
         model = train(np.zeros((4, 1)), np.ones(4), GbrtParams(num_trees=2))
         doc = model_to_dict(model)

@@ -218,14 +218,19 @@ class TestRunRealization:
             run_realization(corpus, "QP", seed=0, c_grid=(0.5,))
 
     def test_parallel_models_match_serial(self):
-        # the GBRT parameters and the GXP model reach workers through the
-        # pool initializer, not the per-realisation jobs
+        # k-means and the GXP fit run as the first pool jobs, and their
+        # assignment and model travel inside the realisation jobs queued
+        # after them; with one worker the same jobs run in this process
         corpus = tiny_corpus(n_clips=6)
-        base = dict(systems=("XP", "CXP", "GXP"), num_realisations=2,
+        base = dict(systems=("BP", "CP", "XP", "CXP", "GXP"), num_realisations=2,
                     c_grid=(0.25, 0.5), k=2, gbrt=SMALL_GBRT, test_groups=("g1",))
         serial = monte_carlo(corpus, SweepConfig(jobs=1, **base))
-        parallel = monte_carlo(corpus, SweepConfig(jobs=2, **base))
-        assert serial.realisations == parallel.realisations
+        assert [(r.system, r.seed) for r in serial.realisations] == \
+            [(s, seed) for s in base["systems"] for seed in (0, 1)]
+        for jobs in (2, 3):
+            parallel = monte_carlo(corpus, SweepConfig(jobs=jobs, **base))
+            assert parallel.realisations == serial.realisations
+            assert parallel.mean == serial.mean
 
     def test_corpus_without_times_rejected(self):
         corpus = make_corpus(n_clips=2)
@@ -357,6 +362,45 @@ class TestMonteCarlo:
         with ProcessPoolExecutor(max_workers=1, initializer=harness._init_worker,
                                  initargs=(None,)) as pool:
             assert pool.submit(_interrupt_self).result(timeout=30) == "ignored"
+
+    def test_parent_runs_neither_kmeans_nor_the_gxp_fit(self, tmp_path, monkeypatch):
+        log = tmp_path / "pids"
+
+        def logged(fn):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{fn.__name__} {os.getpid()}\n")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # the workers fork after these patches, so they run the wrappers too
+        monkeypatch.setattr(harness, "cluster_clips", logged(harness.cluster_clips))
+        monkeypatch.setattr(harness, "train", logged(harness.train))
+        corpus = tiny_corpus(n_clips=6)
+        config = SweepConfig(systems=("CP", "GXP"), num_realisations=2, c_grid=(0.5,),
+                             k=2, gbrt=SMALL_GBRT, test_groups=("g1",), jobs=2)
+        monte_carlo(corpus, config)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(name for name, _ in calls) == ["cluster_clips", "train"]
+        assert str(os.getpid()) not in {pid for _, pid in calls}
+
+    def test_kmeans_error_in_a_worker_reaches_the_caller(self):
+        corpus = tiny_corpus(n_clips=3)
+        config = SweepConfig(systems=("XP", "CP"), num_realisations=2, c_grid=(0.5,),
+                             k=4, gbrt=SMALL_GBRT, jobs=2)
+        with pytest.raises(ValidationError, match=r"k=4 exceeds the number of points \(3\)"):
+            monte_carlo(corpus, config)
+
+    def test_missing_held_out_group_fails_before_any_pool_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a ProcessPoolExecutor was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        corpus = tiny_corpus(n_clips=4)
+        config = SweepConfig(systems=("BP", "GXP"), num_realisations=2, c_grid=(0.5,),
+                             test_groups=("g7",), jobs=2)
+        with pytest.raises(ValidationError, match=r"test groups \['g7'\] not present"):
+            monte_carlo(corpus, config)
 
     def test_single_worker_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
