@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import complexity, corpus as corpus_mod
 from .clustering import (DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv,
                          task_labels)
-from .config import AppConfig, load_config
+from .config import load_config
 from .corpus import (DEFAULT_ENCODERS, Clip, float_text, load_corpus, load_features_csv,
                      save_corpus, write_csv)
 from .errors import CorpusEtaError, EncodeError, ValidationError
@@ -47,14 +47,9 @@ def _fraction(clip_args) -> Fraction:
     return Fraction(clip_args.framerate_num, clip_args.framerate_den)
 
 
-def _gbrt_params(args, config: AppConfig) -> GbrtParams:
-    base = config.gbrt
-    return GbrtParams(
-        num_trees=base.num_trees if args.trees is None else args.trees,
-        max_depth=base.max_depth if args.depth is None else args.depth,
-        learning_rate=base.learning_rate if args.learning_rate is None else args.learning_rate,
-        min_samples_leaf=base.min_samples_leaf if args.min_leaf is None else args.min_leaf,
-    )
+def _gbrt_params(args) -> GbrtParams:
+    return GbrtParams(num_trees=args.trees, max_depth=args.depth,
+                      learning_rate=args.learning_rate, min_samples_leaf=args.min_leaf)
 
 
 def _hms(seconds: float) -> str:
@@ -96,6 +91,17 @@ def _infer_num_frames(path, width: int, height: int) -> int:
 
 
 def cmd_analyze(args) -> int:
+    existing: list[Clip] = []
+    if args.features_out is not None:
+        # checked before any frame is read, so a bad request costs no DCT work
+        if args.clip_id is None:
+            raise ValidationError("--clip-id is required with --features-out")
+        if (args.append and os.path.exists(args.features_out)
+                and os.path.getsize(args.features_out) > 0):
+            existing = load_features_csv(args.features_out)
+            if any(c.clip_id == args.clip_id for c in existing):
+                raise ValidationError(
+                    f"clip {args.clip_id!r} already present in {args.features_out}")
     num_frames = args.num_frames
     if num_frames is None:
         num_frames = _infer_num_frames(args.yuv, args.width, args.height)
@@ -111,31 +117,18 @@ def cmd_analyze(args) -> int:
         print(f"wrote per-frame features to {args.frames_out}")
 
     if args.features_out is not None:
-        if args.clip_id is None:
-            raise ValidationError("--clip-id is required with --features-out")
         clip = Clip(clip_id=args.clip_id, width=args.width, height=args.height,
                     framerate=_fraction(args), num_frames=num_frames,
                     E=clip_stats.E, h=clip_stats.h, luma=clip_stats.luma,
                     source_group=args.source_group)
-        new_file = (not os.path.exists(args.features_out)
-                    or os.path.getsize(args.features_out) == 0)
-        if args.append and not new_file:
-            existing = load_features_csv(args.features_out)
-            if any(c.clip_id == clip.clip_id for c in existing):
-                raise ValidationError(
-                    f"clip {clip.clip_id!r} already present in {args.features_out}")
-            corpus_mod.save_features_csv(args.features_out, existing + [clip])
-        else:
-            corpus_mod.save_features_csv(args.features_out, [clip])
+        corpus_mod.save_features_csv(args.features_out, existing + [clip])
         print(f"wrote clip features to {args.features_out}")
     return 0
 
 
 def cmd_cluster(args) -> int:
-    config = load_config(args.config)
-    k = config.k if args.k is None else args.k
     clips = load_features_csv(args.features)
-    assignment = cluster_clips(clips, k=k, seed=args.seed)
+    assignment = cluster_clips(clips, k=args.k, seed=args.seed)
     save_clusters_csv(args.out, assignment)
     if args.centroids_out is not None:
         save_centroids_csv(args.centroids_out, assignment)
@@ -179,7 +172,6 @@ def _split_labels(values) -> tuple[str, ...]:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
     if args.synthetic:
         spec = SynthSpec(n_clips=args.n_clips, encoders=tuple(args.encoders),
                          sigma=args.sigma, num_groups=args.num_groups)
@@ -196,12 +188,11 @@ def cmd_simulate(args) -> int:
 
     sweep = SweepConfig(
         systems=_split_labels(args.systems),
-        num_realisations=(config.realisations if args.realisations is None
-                          else args.realisations),
-        c_grid=(tuple(args.c_grid) if args.c_grid is not None else config.c_grid),
-        base_seed=config.base_seed if args.base_seed is None else args.base_seed,
-        k=config.k if args.k is None else args.k,
-        gbrt=_gbrt_params(args, config),
+        num_realisations=args.realisations,
+        c_grid=tuple(args.c_grid),
+        base_seed=args.base_seed,
+        k=args.k,
+        gbrt=_gbrt_params(args),
         test_groups=_split_labels(args.test_groups),
         jobs=args.jobs)
     result = monte_carlo(corpus, sweep)
@@ -216,25 +207,21 @@ def cmd_simulate(args) -> int:
 def cmd_predict(args) -> int:
     """One-shot prediction: the completed tasks in times.csv row order, which is
     the order they finished, then the queued ones in corpus order."""
-    config = load_config(args.config)
+    cascade = load_config(args.config)
     corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
                          encoders=args.encoders)
     times = corpus.times or {}
     task_map = corpus.task_map()
     done = [task_map[task_id] for task_id in times]
     queued = [t for t in corpus.tasks if t.task_id not in times]
-
-    system = args.system
-    if system is None:
-        system = cascade_select(config.cascade, len(done) / corpus.N)
     if not queued:
         raise ValidationError("every task already has a measured time; nothing to predict")
+    system = args.system or cascade_select(cascade, len(done) / corpus.N)
 
     order = done + queued
     rows = labels = model = None
     if system == "CP":
-        k = config.k if args.k is None else args.k
-        labels = task_labels(cluster_clips(corpus.clips, k=k, seed=args.seed), order)
+        labels = task_labels(cluster_clips(corpus.clips, k=args.k, seed=args.seed), order)
     elif system != "BP":
         if args.model_in is not None:
             model = load_model(args.model_in)
@@ -242,7 +229,7 @@ def cmd_predict(args) -> int:
             raise ValidationError("GXP predicts with a model trained elsewhere; "
                                   "pass --model-in")
         else:
-            model = _gbrt_params(args, config)
+            model = _gbrt_params(args)
         rows = feature_matrix(corpus, [t.task_id for t in order])
     result = predict_remaining(system, [times[t.task_id].seconds for t in done],
                                corpus.N, rows=rows, labels=labels, model=model)
@@ -292,7 +279,21 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+def _add_gbrt_flags(p) -> None:
+    """GBRT flags shared by simulate and predict; ``_gbrt_params`` reads them."""
+    gbrt = GbrtParams()
+    p.add_argument("--trees", type=int, default=gbrt.num_trees,
+                   help="boosting rounds (default %(default)s)")
+    p.add_argument("--depth", type=int, default=gbrt.max_depth,
+                   help="tree depth (default %(default)s)")
+    p.add_argument("--learning-rate", type=float, default=gbrt.learning_rate,
+                   help="shrinkage (default %(default)s)")
+    p.add_argument("--min-leaf", type=int, default=gbrt.min_samples_leaf,
+                   help="fewest rows in a leaf (default %(default)s)")
+
+
 def build_parser() -> _Parser:
+    spec, sweep = SynthSpec(), SweepConfig()
     parser = _Parser(
         prog="corpus-eta",
         description="Predict how long the rest of a video encode corpus will take.",
@@ -328,11 +329,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="k-means over standardized clip features")
     p.add_argument("--features", required=True)
-    p.add_argument("--k", type=int, default=None, help=f"default {DEFAULT_K}")
-    p.add_argument("--seed", type=int, default=0, help="centroid seeding (default 0)")
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="clusters (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="centroid seeding (default %(default)s)")
     p.add_argument("--out", required=True, help="clip_id,cluster CSV")
     p.add_argument("--centroids-out", default=None)
-    p.add_argument("--config", default=None, help="YAML config path")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("encode", help="run encode commands and record wall-clock times")
@@ -360,32 +360,37 @@ def build_parser() -> _Parser:
     p.add_argument("--features", default=None, help="measured corpus: features CSV")
     p.add_argument("--times", default=None, help="measured corpus: times CSV")
     p.add_argument("--tasks", default=None, help="measured corpus: tasks CSV")
-    p.add_argument("--n-clips", type=int, default=600, help="synthetic corpus size")
-    p.add_argument("--encoders", nargs="+", default=["x264"])
-    p.add_argument("--sigma", type=float, default=0.3, help="lognormal time noise")
-    p.add_argument("--num-groups", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0, help="corpus generation seed (default 0)")
-    p.add_argument("--systems", nargs="+", default=["BP", "CP", "XP", "CXP"],
-                   help="subset of BP,CP,XP,CXP,GXP; commas or repeats both work")
-    p.add_argument("--realisations", type=int, default=None, help="default 100")
-    p.add_argument("--base-seed", type=int, default=None,
-                   help="ordering seed for realisation 0 (default 0)")
-    p.add_argument("--c-grid", type=float, nargs="+", default=None,
-                   help="completion ratios; default 0.02..0.98 step 0.02")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--test-groups", nargs="+", default=[],
+    p.add_argument("--n-clips", type=int, default=spec.n_clips,
+                   help="synthetic corpus size (default %(default)s)")
+    p.add_argument("--encoders", nargs="+", default=list(spec.encoders))
+    p.add_argument("--sigma", type=float, default=spec.sigma,
+                   help="lognormal time noise (default %(default)s)")
+    p.add_argument("--num-groups", type=int, default=spec.num_groups,
+                   help="synthetic source groups (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="corpus generation seed (default %(default)s)")
+    p.add_argument("--systems", nargs="+", default=sweep.systems,
+                   help="subset of BP,CP,XP,CXP,GXP; commas or repeats both work "
+                        f"(default {','.join(sweep.systems)})")
+    p.add_argument("--realisations", type=int, default=sweep.num_realisations,
+                   help="replay orders per system (default %(default)s)")
+    p.add_argument("--base-seed", type=int, default=sweep.base_seed,
+                   help="ordering seed for realisation 0 (default %(default)s)")
+    grid = sweep.c_grid
+    p.add_argument("--c-grid", type=float, nargs="+", default=grid,
+                   help=f"completion ratios (default {len(grid)} points, "
+                        f"{grid[0]:g} to {grid[-1]:g})")
+    p.add_argument("--k", type=int, default=sweep.k,
+                   help="clusters for CP and CXP (default %(default)s)")
+    p.add_argument("--test-groups", nargs="+", default=sweep.test_groups,
                    help="held-out source groups (required for GXP)")
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
+    _add_gbrt_flags(p)
+    p.add_argument("--jobs", type=int, default=sweep.jobs,
                    help="realisation worker processes (default: one per usable CPU)")
     p.add_argument("--report-out", required=True)
     p.add_argument("--realisations-out", default=None)
     p.add_argument("--corpus-out", default=None,
                    help="also write the corpus CSVs here")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("predict",
@@ -394,20 +399,17 @@ def build_parser() -> _Parser:
     p.add_argument("--times", default=None, help="measured times so far")
     p.add_argument("--tasks", default=None)
     p.add_argument("--encoders", nargs="+", default=list(DEFAULT_ENCODERS))
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--system", choices=list(SYSTEMS), default=None)
-    group.add_argument("--cascade", action="store_true",
-                       help="pick the system from the completion ratio (the default)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="clustering seed (default 0)")
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--min-leaf", type=int, default=None)
+    p.add_argument("--system", choices=list(SYSTEMS), default=None,
+                   help="default: the cascade picks one from the completion ratio")
+    p.add_argument("--config", default=None,
+                   help="YAML file with the cascade policy (bounds and systems)")
+    p.add_argument("--k", type=int, default=DEFAULT_K,
+                   help="clusters for CP (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="clustering seed (default %(default)s)")
+    _add_gbrt_flags(p)
     p.add_argument("--model-in", default=None, help="load a trained model (JSON)")
     p.add_argument("--model-out", default=None, help="save the trained model (JSON)")
     p.add_argument("--per-task-out", default=None, help="per-task prediction CSV")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="render a sweep report CSV")

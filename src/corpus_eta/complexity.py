@@ -109,10 +109,6 @@ def _frame_stats(luma: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _frame_stats_in_order(frames, jobs: int):
     """Yield ``_frame_stats`` per frame in order, with at most ``jobs`` frames held."""
-    if jobs == 1:
-        for frame in frames:
-            yield _frame_stats(frame)
-        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         pending = deque()
         for frame in frames:
@@ -126,8 +122,8 @@ def _frame_stats_in_order(frames, jobs: int):
 def analyze_frames(frames, jobs: int = 1) -> tuple[list[FrameFeatures], ClipComplexity]:
     """Compute per-frame and clip-level features from an iterable of luma planes.
 
-    Per-frame work is independent; with jobs > 1 frames are handed to a thread
-    pool as they are read, at most ``jobs`` at a time, and reduced in index
+    Per-frame work is independent; frames are handed to a pool of ``jobs``
+    threads as they are read, at most ``jobs`` at a time, and reduced in index
     order, so the result is identical for any worker count.
     """
     if jobs < 1:

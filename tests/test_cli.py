@@ -12,11 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus_eta import harness
-from corpus_eta.cli import main
+from corpus_eta import complexity, harness
+from corpus_eta.cli import _gbrt_params, build_parser, main
+from corpus_eta.clustering import DEFAULT_K
 from corpus_eta.corpus import (TimeRecord, load_features_csv, load_times_csv,
                                save_features_csv, save_times_csv)
-from corpus_eta.harness import load_report_csv
+from corpus_eta.errors import ValidationError
+from corpus_eta.gbrt import GbrtParams
+from corpus_eta.harness import SweepConfig, SynthSpec, load_report_csv
 
 from helpers import make_corpus, with_random_times
 
@@ -61,6 +64,9 @@ class TestUsageErrors:
         ["predict", "--features", "x", "--system", "QQ"],
         ["predict", "--features", "x", "--system", "BP", "--cascade"],
         ["simulate", "--synthetic"],
+        ["cluster", "--features", "f.csv", "--out", "o.csv", "--config", "c.yaml"],
+        ["simulate", "--synthetic", "--report-out", "r.csv", "--config", "c.yaml"],
+        ["predict", "--features", "f.csv", "--cascade"],
     ])
     def test_usage_problems_exit_64(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -80,6 +86,24 @@ class TestUsageErrors:
         proc = subprocess.run(["corpus-eta", "--help"], capture_output=True)
         assert proc.returncode == 0
         assert b"corpus-eta" in proc.stdout
+
+
+class TestFlagDefaults:
+    def test_each_default_is_the_library_default(self):
+        parser = build_parser()
+        sim = parser.parse_args(["simulate", "--synthetic", "--report-out", "r.csv"])
+        pred = parser.parse_args(["predict", "--features", "f.csv"])
+        clus = parser.parse_args(["cluster", "--features", "f.csv", "--out", "o.csv"])
+        sweep, spec = SweepConfig(), SynthSpec()
+        assert (tuple(sim.systems), sim.realisations, tuple(sim.c_grid), sim.base_seed,
+                sim.k, tuple(sim.test_groups), sim.jobs) == (
+            sweep.systems, sweep.num_realisations, sweep.c_grid, sweep.base_seed,
+            sweep.k, sweep.test_groups, sweep.jobs)
+        assert (sim.n_clips, tuple(sim.encoders), sim.sigma, sim.num_groups) == (
+            spec.n_clips, spec.encoders, spec.sigma, spec.num_groups)
+        assert _gbrt_params(sim) == _gbrt_params(pred) == GbrtParams() == sweep.gbrt
+        assert pred.k == clus.k == DEFAULT_K == sweep.k
+        assert pred.system is None and pred.config is None
 
 
 class TestIngest:
@@ -107,6 +131,10 @@ class TestIngest:
         rc = main(["ingest", "--features", str(tmp_path / "none.csv")])
         assert rc == 1
         assert "corpus-eta: error:" in capsys.readouterr().err
+
+
+def no_frames_read(*args, **kwargs):
+    raise ValidationError("frames were read before the arguments were checked")
 
 
 class TestAnalyze:
@@ -150,7 +178,7 @@ class TestAnalyze:
         assert lines[0] == "frame_index,E,h,luma"
         assert len(lines) == 4
 
-    def test_features_out_and_append(self, tmp_path, capsys):
+    def test_features_out_and_append(self, tmp_path, capsys, monkeypatch):
         yuv = tmp_path / "clip.yuv"
         write_yuv(yuv, [np.full((32, 32), 90, dtype=np.uint8)] * 2)
         features = tmp_path / "features.csv"
@@ -161,13 +189,15 @@ class TestAnalyze:
         clips = load_features_csv(features)
         assert [c.clip_id for c in clips] == ["a", "b"]
         assert clips[0].luma == 90.0
+        monkeypatch.setattr(complexity, "analyze_yuv", no_frames_read)
         rc = main(base + ["--clip-id", "a", "--append"])
         assert rc == 1
         assert "already present" in capsys.readouterr().err
 
-    def test_features_out_requires_clip_id(self, tmp_path, capsys):
+    def test_features_out_requires_clip_id(self, tmp_path, capsys, monkeypatch):
         yuv = tmp_path / "clip.yuv"
         write_yuv(yuv, [np.full((32, 32), 90, dtype=np.uint8)])
+        monkeypatch.setattr(complexity, "analyze_yuv", no_frames_read)
         rc = main(["analyze", "--yuv", str(yuv), "--width", "32", "--height", "32",
                    "--features-out", str(tmp_path / "f.csv")])
         assert rc == 1
@@ -417,7 +447,7 @@ class TestPredict:
         times = partial_times(tmp_path, corpus, 1)  # c = 1/24
         rc, doc = self.run_json(["predict", "--features", str(features),
                                  "--times", str(times), "--encoders", "x264",
-                                 "--cascade", "--trees", "5"], capsys)
+                                 "--trees", "5"], capsys)
         assert rc == 0
         assert doc["system"] == "CXP"
 
@@ -426,14 +456,13 @@ class TestPredict:
         times = partial_times(tmp_path, corpus, 6)  # c = 0.25
         rc, doc = self.run_json(["predict", "--features", str(features),
                                  "--times", str(times), "--encoders", "x264",
-                                 "--cascade", "--k", "2"], capsys)
+                                 "--k", "2"], capsys)
         assert rc == 0
         assert doc["system"] == "CP"
 
     def test_cascade_at_zero_needs_model(self, corpus_files, capsys):
         _, features, _ = corpus_files
-        rc = main(["predict", "--features", str(features), "--encoders", "x264",
-                   "--cascade"])
+        rc = main(["predict", "--features", str(features), "--encoders", "x264"])
         assert rc == 1
         assert "model trained elsewhere" in capsys.readouterr().err
 
@@ -569,6 +598,14 @@ class TestPredict:
                    "--encoders", "x264", "--system", "BP"])
         assert rc == 1
         assert "nothing to predict" in capsys.readouterr().err
+
+    def test_nothing_left_to_predict_under_the_cascade_exits_1(self, corpus_files, capsys):
+        _, features, times = corpus_files
+        rc = main(["predict", "--features", str(features), "--times", str(times),
+                   "--encoders", "x264"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "corpus-eta: error: every task already has a measured time; nothing to predict\n")
 
 
 class TestReport:

@@ -233,7 +233,7 @@ class TestAnalyzeFrames:
         with pytest.raises(ValidationError, match=f"jobs must be >= 1, got {jobs}"):
             analyze_frames(frames, jobs=jobs)
 
-    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
     def test_thread_pool_holds_at_most_jobs_frames(self, monkeypatch, jobs):
         """A frame is pending from the moment the source yields it until its
         per-frame statistics are computed; the pool must not read ahead of that."""

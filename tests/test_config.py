@@ -1,19 +1,23 @@
-"""YAML configuration loading: defaults, overrides, strict key checking."""
+"""YAML cascade policy loading: defaults, the cascade block, strict key checking."""
 
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_eta.cli import main
-from corpus_eta.clustering import DEFAULT_K
-from corpus_eta.config import ENV_VAR, AppConfig, load_config
+from corpus_eta.config import load_config
+from corpus_eta.corpus import save_features_csv
 from corpus_eta.errors import ConfigError
-from corpus_eta.gbrt import GbrtParams
-from corpus_eta.harness import DEFAULT_C_GRID
-from corpus_eta.predictors import DEFAULT_CASCADE
+from corpus_eta.predictors import DEFAULT_CASCADE, SYSTEMS, CascadePolicy
+
+from helpers import make_corpus
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -24,75 +28,66 @@ def write_config(tmp_path, text):
     return path
 
 
+def predict_with_config(tmp_path, config_path):
+    """Run `predict --config` on a 2-clip corpus; returns the exit code."""
+    features = tmp_path / "features.csv"
+    save_features_csv(features, make_corpus(n_clips=2).clips)
+    return main(["predict", "--features", str(features), "--encoders", "x264",
+                 "--config", str(config_path),
+                 "--per-task-out", str(tmp_path / "per_task.csv")])
+
+
 class TestDefaults:
-    def test_no_path_no_env_gives_defaults(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        config = load_config()
-        assert config == AppConfig()
-        assert config.k == DEFAULT_K
-        assert config.gbrt == GbrtParams()
-        assert config.cascade == DEFAULT_CASCADE
-        assert config.realisations == 100
-        assert config.base_seed == 0
-        assert config.c_grid == DEFAULT_C_GRID
+    def test_no_path_no_env_gives_defaults(self):
+        assert load_config() == DEFAULT_CASCADE
+        assert load_config(None) == CascadePolicy()
 
     def test_empty_document_gives_defaults(self, tmp_path):
         path = write_config(tmp_path, "")
-        assert load_config(path) == AppConfig()
+        assert load_config(path) == DEFAULT_CASCADE
 
     def test_empty_env_var_ignored(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "")
-        assert load_config() == AppConfig()
+        monkeypatch.setenv("CORPUS_ETA_CONFIG", "")
+        assert load_config() == DEFAULT_CASCADE
 
 
 class TestOverrides:
     def test_full_document(self, tmp_path):
         path = write_config(tmp_path, """
-k: 4
-gbrt:
-  num_trees: 50
-  max_depth: 3
-  learning_rate: 0.25
-  min_samples_leaf: 2
 cascade:
   bounds: [0.0, 0.1, 1.0]
   systems: [GXP, CXP, CP]
-sweep:
-  realisations: 7
-  base_seed: 99
-  c_grid: [0.1, 0.5]
 """)
-        config = load_config(path)
-        assert config.k == 4
-        assert config.gbrt == GbrtParams(num_trees=50, max_depth=3,
-                                         learning_rate=0.25, min_samples_leaf=2)
-        assert config.cascade.thresholds == ((0.0, "GXP"), (0.1, "CXP"), (1.0, "CP"))
-        assert config.realisations == 7
-        assert config.base_seed == 99
-        assert config.c_grid == (0.1, 0.5)
+        assert load_config(path).thresholds == ((0.0, "GXP"), (0.1, "CXP"), (1.0, "CP"))
 
-    def test_partial_sections_keep_other_defaults(self, tmp_path):
-        path = write_config(tmp_path, "gbrt:\n  num_trees: 10\n")
-        config = load_config(path)
-        assert config.gbrt.num_trees == 10
-        assert config.gbrt.max_depth == GbrtParams().max_depth
-        assert config.k == DEFAULT_K
-
-    def test_env_var_points_at_file(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, "k: 3\n")
-        monkeypatch.setenv(ENV_VAR, str(path))
-        assert load_config().k == 3
+    def test_env_var_is_not_read(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "cascade:\n  bounds: [1.0]\n  systems: [BP]\n")
+        monkeypatch.setenv("CORPUS_ETA_CONFIG", str(path))
+        assert load_config() == DEFAULT_CASCADE
 
     def test_explicit_path_beats_env(self, tmp_path, monkeypatch):
-        env_path = write_config(tmp_path, "k: 3\n")
-        monkeypatch.setenv(ENV_VAR, str(env_path))
-        other = tmp_path / "other.yaml"
-        other.write_text("k: 8\n")
-        assert load_config(other).k == 8
+        monkeypatch.setenv("CORPUS_ETA_CONFIG", str(tmp_path / "missing.yaml"))
+        path = write_config(tmp_path, "cascade:\n  bounds: [1.0]\n  systems: [BP]\n")
+        assert load_config(path).thresholds == ((1.0, "BP"),)
 
-    def test_integer_learning_rate_accepted_as_number(self, tmp_path):
-        path = write_config(tmp_path, "gbrt:\n  learning_rate: 1\n")
-        assert load_config(path).gbrt.learning_rate == 1.0
+    def test_integer_bound_accepted_as_number(self, tmp_path):
+        path = write_config(tmp_path, "cascade:\n  bounds: [0, 1]\n  systems: [GXP, CP]\n")
+        assert load_config(path).thresholds == ((0.0, "GXP"), (1.0, "CP"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1.0, exclude_max=True,
+                              allow_nan=False), unique=True, max_size=5),
+           st.data())
+    def test_valid_policy_round_trips_through_yaml(self, lower_bounds, data):
+        bounds = sorted(lower_bounds) + [1.0]
+        systems = data.draw(st.lists(st.sampled_from(SYSTEMS), min_size=len(bounds),
+                                     max_size=len(bounds)))
+        text = yaml.safe_dump({"cascade": {"bounds": bounds, "systems": systems}})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.yaml"
+            path.write_text(text)
+            loaded = load_config(path)
+        assert loaded == CascadePolicy(thresholds=tuple(zip(bounds, systems)))
 
 
 class TestRejections:
@@ -103,29 +98,38 @@ class TestRejections:
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 load_config(path)
 
+    @pytest.mark.parametrize("text,key", [
+        ("k: 4\n", "k"),
+        ("gbrt:\n  num_trees: 50\n", "gbrt"),
+        ("sweep:\n  realisations: 7\n", "sweep"),
+    ])
+    def test_removed_key_exits_1(self, tmp_path, capsys, text, key):
+        """k, gbrt and sweep are command-line flags now, not config keys."""
+        path = write_config(tmp_path, "cascade:\n  bounds: [1.0]\n  systems: [BP]\n" + text)
+        assert predict_with_config(tmp_path, path) == 1
+        assert capsys.readouterr().err == f"corpus-eta: error: unknown config key '{key}'\n"
+        assert not (tmp_path / "per_task.csv").exists()
+
     def test_unknown_nested_key(self, tmp_path):
-        path = write_config(tmp_path, "gbrt:\n  bogus: 1\n")
-        with pytest.raises(ConfigError, match="unknown config key 'gbrt.bogus'"):
+        path = write_config(tmp_path, "cascade:\n  bogus: 1\n")
+        with pytest.raises(ConfigError, match="unknown config key 'cascade.bogus'"):
             load_config(path)
 
-    def test_bool_is_not_an_integer(self, tmp_path):
-        path = write_config(tmp_path, "k: true\n")
-        with pytest.raises(ConfigError, match="must be an integer"):
+    def test_bool_is_not_a_number(self, tmp_path):
+        path = write_config(tmp_path,
+                            "cascade:\n  bounds: [true, 1.0]\n  systems: [CXP, CP]\n")
+        with pytest.raises(ConfigError, match=r"'cascade.bounds\[0\]' must be a number"):
             load_config(path)
 
-    def test_string_realisations_rejected(self, tmp_path):
-        path = write_config(tmp_path, "sweep:\n  realisations: many\n")
-        with pytest.raises(ConfigError, match="must be an integer"):
-            load_config(path)
-
-    def test_non_numeric_learning_rate_rejected(self, tmp_path):
-        path = write_config(tmp_path, "gbrt:\n  learning_rate: fast\n")
-        with pytest.raises(ConfigError, match="must be a number"):
+    def test_non_numeric_bound_rejected(self, tmp_path):
+        path = write_config(tmp_path,
+                            "cascade:\n  bounds: [0.1, fast]\n  systems: [CXP, CP]\n")
+        with pytest.raises(ConfigError, match=r"'cascade.bounds\[1\]' must be a number"):
             load_config(path)
 
     def test_section_must_be_mapping(self, tmp_path):
-        path = write_config(tmp_path, "gbrt: 5\n")
-        with pytest.raises(ConfigError, match="'gbrt' must be a mapping"):
+        path = write_config(tmp_path, "cascade: 5\n")
+        with pytest.raises(ConfigError, match="'cascade' must be a mapping"):
             load_config(path)
 
     def test_top_level_must_be_mapping(self, tmp_path):
@@ -135,6 +139,11 @@ class TestRejections:
 
     def test_cascade_requires_both_lists(self, tmp_path):
         path = write_config(tmp_path, "cascade:\n  bounds: [0.5, 1.0]\n")
+        with pytest.raises(ConfigError, match="must both be lists"):
+            load_config(path)
+
+    def test_scalar_bounds_rejected(self, tmp_path):
+        path = write_config(tmp_path, "cascade:\n  bounds: 1.0\n  systems: [CP]\n")
         with pytest.raises(ConfigError, match="must both be lists"):
             load_config(path)
 
@@ -148,16 +157,6 @@ class TestRejections:
         path = write_config(tmp_path,
                             "cascade:\n  bounds: [0.5]\n  systems: [CP]\n")
         with pytest.raises(Exception, match="end at 1.0"):
-            load_config(path)
-
-    def test_empty_c_grid_rejected(self, tmp_path):
-        path = write_config(tmp_path, "sweep:\n  c_grid: []\n")
-        with pytest.raises(ConfigError, match="non-empty list"):
-            load_config(path)
-
-    def test_scalar_c_grid_rejected(self, tmp_path):
-        path = write_config(tmp_path, "sweep:\n  c_grid: 0.5\n")
-        with pytest.raises(ConfigError, match="non-empty list"):
             load_config(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -190,8 +189,6 @@ class TestLazyYamlImport:
             path.write_text(text)
         with pytest.raises(ConfigError, match=msg) as raised:
             load_config(str(path))
-        rc = main(["simulate", "--synthetic", "--n-clips", "4", "--systems", "BP",
-                   "--config", str(path), "--report-out", str(tmp_path / "r.csv")])
-        assert rc == 1
+        assert predict_with_config(tmp_path, path) == 1
         assert capsys.readouterr().err == f"corpus-eta: error: {raised.value}\n"
-        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "per_task.csv").exists()
