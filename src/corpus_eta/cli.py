@@ -20,7 +20,7 @@ from .clustering import (DEFAULT_K, cluster_clips, save_centroids_csv, save_clus
 from .config import load_config
 from .corpus import (DEFAULT_ENCODERS, Clip, float_text, load_corpus, load_features_csv,
                      save_corpus, write_csv)
-from .errors import CorpusEtaError, EncodeError, ValidationError
+from .errors import CorpusEtaError, ValidationError
 from .gbrt import GbrtParams, feature_matrix, load_model, save_model
 from .harness import (SweepConfig, SynthSpec, load_report_csv, monte_carlo,
                       synth_corpus, write_realisations_csv, write_report_csv)
@@ -102,9 +102,7 @@ def cmd_analyze(args) -> int:
             if any(c.clip_id == args.clip_id for c in existing):
                 raise ValidationError(
                     f"clip {args.clip_id!r} already present in {args.features_out}")
-    num_frames = args.num_frames
-    if num_frames is None:
-        num_frames = _infer_num_frames(args.yuv, args.width, args.height)
+    num_frames = _infer_num_frames(args.yuv, args.width, args.height)
     frames, clip_stats = complexity.analyze_yuv(
         args.yuv, args.width, args.height, num_frames, jobs=args.jobs)
     print(f"frames: {num_frames}")
@@ -186,6 +184,11 @@ def cmd_simulate(args) -> int:
         _save_corpus_dir(corpus, args.corpus_out)
         print(f"wrote corpus CSVs to {args.corpus_out}")
 
+    # checked before the sweep, which can run for minutes
+    for flag, path in (("--report-out", args.report_out),
+                       ("--realisations-out", args.realisations_out)):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"{flag}: directory of {path} does not exist")
     sweep = SweepConfig(
         systems=_split_labels(args.systems),
         num_realisations=args.realisations,
@@ -314,8 +317,6 @@ def build_parser() -> _Parser:
     p.add_argument("--yuv", required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--num-frames", type=int, default=None,
-                   help="default: inferred from the file size")
     p.add_argument("--framerate-num", type=int, default=30)
     p.add_argument("--framerate-den", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1, help="frame-level worker threads")
@@ -345,7 +346,7 @@ def build_parser() -> _Parser:
                         "-o {output} {input}'")
     p.add_argument("--out", required=True, help="times CSV to write")
     p.add_argument("--scratch", required=True, help="directory for outputs and logs")
-    p.add_argument("--concurrency", "--jobs", dest="concurrency", type=int, default=1,
+    p.add_argument("--concurrency", type=int, default=1,
                    help="simultaneous encodes; above 1 distorts timing via contention")
     p.add_argument("--resume", action="store_true",
                    help="continue an existing times CSV, skipping measured tasks")
@@ -430,9 +431,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("corpus-eta: interrupted", file=sys.stderr)
         return 130
-    except EncodeError as exc:
-        print(f"corpus-eta: error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"corpus-eta: error: {exc}", file=sys.stderr)
         return 1

@@ -13,11 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Clip, EncodeTask, float_text, write_csv
+from .corpus import CLIP_FEATURES, Clip, EncodeTask, float_text, write_csv
 from .errors import ValidationError
-
-# Fixed feature order for the clustering space.
-CLUSTER_FEATURES = ("height", "num_pixels", "framerate", "num_frames", "E", "h", "luma")
 
 DEFAULT_K = 10
 
@@ -36,9 +33,8 @@ class ClusterAssignment:
 
 
 def clip_feature_matrix(clips: Sequence[Clip]) -> np.ndarray:
-    rows = [(c.height, c.num_pixels, float(c.framerate), c.num_frames, c.E, c.h, c.luma)
-            for c in clips]
-    return np.asarray(rows, dtype=np.float64)
+    """One row of CLIP_FEATURES per clip: the clustering space before scaling."""
+    return np.asarray([c.feature_values for c in clips], dtype=np.float64)
 
 
 def standardize(clips: Sequence[Clip]) -> np.ndarray:
@@ -192,5 +188,5 @@ def save_clusters_csv(path, assignment: ClusterAssignment) -> None:
 
 
 def save_centroids_csv(path, assignment: ClusterAssignment) -> None:
-    write_csv(path, ["cluster", *CLUSTER_FEATURES],
+    write_csv(path, ["cluster", *CLIP_FEATURES],
               ([j, *map(float_text, row)] for j, row in enumerate(assignment.centroids)))

@@ -33,6 +33,10 @@ FEATURES_HEADER = ["clip_id", "width", "height", "framerate_num", "framerate_den
 TIMES_HEADER = ["task_id", "seconds"]
 TASKS_HEADER = ["task_id", "clip_id", "encoder", "preset", "cqp"]
 
+# The clip properties that k-means clusters on and that lead every GBRT row,
+# in this order; ``Clip.feature_values`` reads them.
+CLIP_FEATURES = ("height", "num_pixels", "framerate", "num_frames", "E", "h", "luma")
+
 
 @dataclass(frozen=True)
 class Clip:
@@ -74,6 +78,11 @@ class Clip:
     @property
     def num_pixels(self) -> int:
         return self.width * self.height
+
+    @property
+    def feature_values(self) -> tuple[float, ...]:
+        """The clip's CLIP_FEATURES, in that order, as floats."""
+        return tuple(float(getattr(self, name)) for name in CLIP_FEATURES)
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PRESET_ORD, Corpus, atomic_open
+from .corpus import CLIP_FEATURES, PRESET_ORD, Corpus, atomic_open
 from .errors import ValidationError
 
 # Model input vector, one row per encode task.
-FEATURE_NAMES = ("height", "num_pixels", "framerate", "num_frames",
-                 "E", "h", "luma", "preset_ord", "cqp")
+FEATURE_NAMES = CLIP_FEATURES + ("preset_ord", "cqp")
 
 MODEL_FORMAT = "corpus-eta-gbrt"
 MODEL_VERSION = 2  # 2 records the trees of each stage
@@ -102,19 +101,8 @@ class GbrtModel:
             object.__setattr__(self, "stages", (len(self.trees),) if self.trees else ())
 
 
-def _clip_values(clip) -> tuple:
-    """The clip's leading features, ordered per FEATURE_NAMES."""
-    return (clip.height, clip.num_pixels, float(clip.framerate), clip.num_frames,
-            clip.E, clip.h, clip.luma)
-
-
-def feature_row(clip, task) -> np.ndarray:
-    """Model features for one encode task, ordered per FEATURE_NAMES."""
-    return np.array(_clip_values(clip) + (PRESET_ORD[task.preset], task.cqp),
-                    dtype=np.float64)
-
-
 def feature_matrix(corpus: Corpus, task_ids: Sequence[str]) -> np.ndarray:
+    """Model features of each task, one row per id, ordered per FEATURE_NAMES."""
     task_map = corpus.task_map()
     by_clip: dict[str, tuple] = {}
 
@@ -125,7 +113,7 @@ def feature_matrix(corpus: Corpus, task_ids: Sequence[str]) -> np.ndarray:
                 raise ValidationError(f"unknown task_id {task_id!r}")
             head = by_clip.get(task.clip_id)
             if head is None:
-                head = by_clip[task.clip_id] = _clip_values(corpus.clip(task.clip_id))
+                head = by_clip[task.clip_id] = corpus.clip(task.clip_id).feature_values
             yield head + (PRESET_ORD[task.preset], task.cqp)
 
     # fromiter keeps one row's tuple alive at a time, not a list of them all

@@ -12,7 +12,7 @@ import functools
 import math
 import os
 import signal
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -180,7 +180,7 @@ def _times_in_order(corpus: Corpus, order: Sequence[str]) -> np.ndarray:
 def run_realization(corpus: Corpus, system: str, seed: int,
                     c_grid: Sequence[float] = DEFAULT_C_GRID, *,
                     assignment: ClusterAssignment | None = None,
-                    gbrt_params: GbrtParams | None = None,
+                    gbrt_params: GbrtParams = GbrtParams(),
                     gxp_model: GbrtModel | None = None,
                     gxp_test_ids: Sequence[str] | None = None) -> RealizationResult:
     """Score one system over one seeded processing order.
@@ -193,20 +193,15 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
     if system in ("CP", "CXP") and assignment is None:
         raise ValidationError(f"{system} needs a cluster assignment")
-    if gbrt_params is None:
-        gbrt_params = GbrtParams()
+    if system == "GXP" and (gxp_model is None or gxp_test_ids is None):
+        raise ValidationError("GXP needs a pre-trained model and the held-out task ids")
 
-    rng = np.random.default_rng(seed)
-    if system == "GXP":
-        if gxp_model is None or gxp_test_ids is None:
-            raise ValidationError("GXP needs a pre-trained model and the held-out task ids")
-        pool = list(gxp_test_ids)
-        order = [pool[i] for i in rng.permutation(len(pool))]
-    elif system == "CXP":
+    if system == "CXP":
         order = cxp_order(corpus, assignment, seed)
     else:
-        ids = [t.task_id for t in corpus.tasks]
-        order = [ids[i] for i in rng.permutation(len(ids))]
+        pool = gxp_test_ids if system == "GXP" else [t.task_id for t in corpus.tasks]
+        order = [pool[i] for i in np.random.default_rng(seed).permutation(len(pool))]
+    model = gxp_model if system == "GXP" else gbrt_params
 
     N = len(order)
     t = _times_in_order(corpus, order)
@@ -216,13 +211,9 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         labels = task_labels(assignment, [tmap[tid] for tid in order])
     elif system != "BP":
         rows = feature_matrix(corpus, order)
-    gxp_t_hat = cache = None
-    if system == "GXP":
-        # the pre-trained model ignores the completed tasks, so one prediction
-        # of every held-out task serves each c-point
-        gxp_t_hat = predict_remaining("GXP", t[:0], N, rows=rows, model=gxp_model).t_hat
 
     per_c: dict[float, MetricReport] = {}
+    cache = None
     for c in c_grid:
         n_done = math.floor(c * N)
         if n_done >= N:
@@ -230,14 +221,12 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         if n_done < 1 and system != "GXP":
             raise ValidationError(
                 f"c={c}: floor(c*N)=0 completed tasks, {system} needs at least one")
-        if gxp_t_hat is not None:
-            t_hat = gxp_t_hat[n_done:]
-        else:
-            # XP and CXP hand each c-point the stages the earlier ones fitted
-            res = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels,
-                                    model=gbrt_params, cache=cache)
-            t_hat, cache = res.t_hat, res.cache
-        per_c[float(c)] = evaluate(t[n_done:], t_hat)
+        # each c-point hands the next the work it did: XP and CXP's fitted
+        # stages, GXP's output on every held-out task
+        res = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels,
+                                model=model, cache=cache)
+        cache = res.cache
+        per_c[float(c)] = evaluate(t[n_done:], res.t_hat)
     return RealizationResult(system=system, seed=seed, per_c=per_c)
 
 
@@ -331,10 +320,11 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
     share the uniform ordering policy see identical orders. Realisations run
     in ``config.jobs`` worker processes, by default one per CPU this process
     may use; with one worker they run in this process. The workers fork as
-    soon as the corpus is loaded: k-means and the GXP fit are the first jobs,
-    and the systems that need their output are queued when it arrives.
-    Results do not depend on scheduling: seeds fix each realisation
-    completely, and results are reassembled in config order.
+    soon as the corpus is loaded. Jobs are queued in program order: k-means
+    and the GXP fit, then BP and XP, then CP and CXP once the clusters are
+    back, then GXP once its model is. Results do not depend on scheduling:
+    seeds fix each realisation completely, and results are reassembled in
+    config order.
     """
     if corpus.times is None:
         raise ValidationError("corpus has no measured times")
@@ -360,21 +350,17 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
                 futures[(system, seed)] = submit(_realisation_job, system, seed, inputs)
 
     try:
-        setup: dict[Future, str] = {}
-        if any(s in ("CP", "CXP") for s in config.systems) and assignment is None:
-            setup[submit(_cluster_job, config.k, config.base_seed)] = "clusters"
+        clusters = model = None
+        if assignment is None and {"CP", "CXP"} & set(config.systems):
+            clusters = submit(_cluster_job, config.k, config.base_seed)
         if split is not None:
-            setup[submit(_train_job, split.train_rows, split.train_targets)] = "model"
-        ready = {"BP", "XP"} if assignment is None else {"BP", "XP", "CP", "CXP"}
-        queue(ready, {"assignment": assignment})
-        while setup:
-            done, _ = wait(setup, return_when=FIRST_COMPLETED)
-            for future in done:
-                if setup.pop(future) == "clusters":
-                    queue(("CP", "CXP"), {"assignment": future.result()})
-                else:
-                    queue(("GXP",), {"gxp_model": future.result(),
-                                     "gxp_test_ids": split.test_ids})
+            model = submit(_train_job, split.train_rows, split.train_targets)
+        queue(("BP", "XP"), {})
+        if clusters is not None:
+            assignment = clusters.result()
+        queue(("CP", "CXP"), {"assignment": assignment})
+        if model is not None:
+            queue(("GXP",), {"gxp_model": model.result(), "gxp_test_ids": split.test_ids})
         results = [futures[(system, seed)].result()
                    for system in config.systems for seed in seeds]
     finally:

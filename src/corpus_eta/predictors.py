@@ -34,10 +34,12 @@ SYSTEMS = ("BP", "CP", "XP", "CXP", "GXP")
 
 @dataclass(frozen=True)
 class StageCache:
-    """XP or CXP stages fitted on one processing order, for a later call on it.
+    """A model's work on one processing order, for a later call on it.
 
-    Every stage ends at a schedule boundary, so each later completion point of
-    the same order starts with these stages. ``output`` is the model's
+    For XP and CXP fitting their own model, it holds the stages fitted so
+    far: every stage ends at a schedule boundary, so each later completion
+    point of the same order starts with them. For a fitted model passed in,
+    ``plan`` is empty and nothing is refitted. ``output`` is the model's
     log-time output on every task of the order.
     """
 
@@ -55,7 +57,7 @@ class AggregatePrediction:
     t_bar: float | None = None                   # BP: the global mean
     cluster_means: dict[int, float] | None = None  # CP: per-cluster means
     model: GbrtModel | None = None               # XP, CXP, GXP: the model used
-    cache: StageCache | None = None              # XP, CXP: stages to reuse
+    cache: StageCache | None = None              # XP, CXP, GXP: work to reuse
 
 
 def _mean(times: Sequence[float]) -> float:
@@ -169,7 +171,8 @@ def _fit_stages(rows: np.ndarray, log_t: np.ndarray, total_tasks: int, params: G
     keep = len(plan) if at_boundary else len(plan) - 1
     done = 0
     model = output = None
-    if (cache is not None and cache.model.params == params
+    # an empty plan marks a fitted model's cache, which holds no stages to extend
+    if (cache is not None and cache.plan and cache.model.params == params
             and tuple(plan[:len(cache.plan)]) == cache.plan
             and cache.output.shape == (len(rows),)):
         model, output, done = cache.model, cache.output, len(cache.plan)
@@ -201,8 +204,10 @@ def predict_remaining(system: str, completed: Sequence[float], total_tasks: int,
     on the completed rows and their log-seconds when ``model`` is a
     GbrtParams (see ``_refit_stages``); a fitted model (always, for GXP) is
     used as is. ``cache`` takes the ``cache`` of an earlier result on the
-    same rows, params and completed prefix, and skips refitting the stages
-    it holds; the result is bit-identical either way. ``t_hat`` is set for
+    same rows and model or params, with a completed prefix of this call's:
+    a fitted model's output is then sliced rather than predicted again, and
+    stages it holds are not refitted. The result is bit-identical either
+    way, and a cache that does not match is ignored. ``t_hat`` is set for
     every system. Rows or labels that do not cover exactly ``total_tasks``
     tasks, and negative labels, raise ValidationError.
     """
@@ -244,7 +249,10 @@ def predict_remaining(system: str, completed: Sequence[float], total_tasks: int,
         return _model_total(model, output[n:], c, system, cache)
     if not isinstance(model, GbrtModel):
         raise ValidationError(f"{system} needs a trained model")
-    return _model_total(model, predict(model, rows[n:]), c, system)
+    if (cache is None or cache.plan or cache.model is not model
+            or cache.output.shape != (len(rows),)):
+        cache = StageCache(model=model, plan=(), output=predict(model, rows))
+    return _model_total(model, cache.output[n:], c, system, cache)
 
 
 def cxp_order(corpus: Corpus, assignment: ClusterAssignment, seed: int) -> list[str]:

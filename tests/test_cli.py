@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus_eta import complexity, harness
+from corpus_eta import cli, complexity, harness
 from corpus_eta.cli import _gbrt_params, build_parser, main
 from corpus_eta.clustering import DEFAULT_K
 from corpus_eta.corpus import (TimeRecord, load_features_csv, load_times_csv,
                                save_features_csv, save_times_csv)
-from corpus_eta.errors import ValidationError
+from corpus_eta.errors import EncodeError, ValidationError
 from corpus_eta.gbrt import GbrtParams
 from corpus_eta.harness import SweepConfig, SynthSpec, load_report_csv
 
@@ -67,6 +67,10 @@ class TestUsageErrors:
         ["cluster", "--features", "f.csv", "--out", "o.csv", "--config", "c.yaml"],
         ["simulate", "--synthetic", "--report-out", "r.csv", "--config", "c.yaml"],
         ["predict", "--features", "f.csv", "--cascade"],
+        ["analyze", "--yuv", "c.yuv", "--width", "32", "--height", "32",
+         "--num-frames", "2"],
+        ["encode", "--features", "f.csv", "--input-dir", "in", "--template", "true",
+         "--out", "t.csv", "--scratch", "s", "--jobs", "2"],
     ])
     def test_usage_problems_exit_64(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -280,6 +284,21 @@ class TestEncode:
         assert "failed tasks:" in err
         assert (tmp_path / "times.csv.failures.csv").exists()
 
+    def test_encode_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise EncodeError("cannot launch the encoder")
+
+        monkeypatch.setattr(cli, "batch_encode", broken)
+        corpus = make_corpus(n_clips=1, encoders=("x264",))
+        features = tmp_path / "features.csv"
+        save_features_csv(features, corpus.clips)
+        rc = main(["encode", "--features", str(features), "--encoders", "x264",
+                   "--input-dir", str(tmp_path), "--template", "true",
+                   "--out", str(tmp_path / "times.csv"),
+                   "--scratch", str(tmp_path / "scratch")])
+        assert rc == 2
+        assert capsys.readouterr().err == "corpus-eta: error: cannot launch the encoder\n"
+
 
 SIM_BASE = ["simulate", "--synthetic", "--n-clips", "4", "--num-groups", "2",
             "--systems", "BP", "CP", "--realisations", "2",
@@ -352,6 +371,19 @@ class TestSimulate:
         rc = main(SIM_BASE + ["--jobs", "0", "--report-out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--report-out", "--realisations-out"])
+    def test_missing_output_directory_exits_1_before_the_sweep(self, tmp_path, capsys,
+                                                                monkeypatch, flag):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "monte_carlo", no_sweep)
+        outputs = {"--report-out": str(tmp_path / "r.csv"),
+                   flag: str(tmp_path / "missing" / "out.csv")}
+        rc = main(SIM_BASE + [arg for pair in outputs.items() for arg in pair])
+        assert rc == 1
+        assert f"{flag}: directory of" in capsys.readouterr().err
 
     def test_kmeans_error_in_a_worker_exits_1(self, tmp_path, capsys):
         rc = main(SIM_BASE + ["--k", "5", "--jobs", "2",

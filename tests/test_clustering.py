@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_eta import clustering
-from corpus_eta.clustering import (CLUSTER_FEATURES, N_INIT, ClusterAssignment,
-                                   clip_feature_matrix, cluster_clips, kmeans,
-                                   save_centroids_csv, save_clusters_csv,
-                                   standardize, task_labels)
-from corpus_eta.corpus import expand_tasks
+from corpus_eta.clustering import (N_INIT, ClusterAssignment, clip_feature_matrix,
+                                   cluster_clips, kmeans, save_centroids_csv,
+                                   save_clusters_csv, standardize, task_labels)
+from corpus_eta.corpus import CLIP_FEATURES, expand_tasks
 from corpus_eta.errors import ValidationError
 
 from helpers import make_clip, make_clips
@@ -53,15 +52,15 @@ class TestStandardize:
         # mean 2, population std 1
         clips = [make_clip("a", E=1.0), make_clip("b", E=3.0)]
         matrix = standardize(clips)
-        col = CLUSTER_FEATURES.index("E")
+        col = CLIP_FEATURES.index("E")
         assert matrix[0, col] == -1.0
         assert matrix[1, col] == 1.0
 
     def test_constant_columns_map_to_zero(self):
         clips = [make_clip("a", E=1.0), make_clip("b", E=3.0)]
         matrix = standardize(clips)
-        col = CLUSTER_FEATURES.index("E")
-        other = [i for i in range(len(CLUSTER_FEATURES)) if i != col]
+        col = CLIP_FEATURES.index("E")
+        other = [i for i in range(len(CLIP_FEATURES)) if i != col]
         assert np.all(matrix[:, other] == 0.0)
 
     def test_single_clip_maps_to_all_zeros(self):
@@ -71,7 +70,7 @@ class TestStandardize:
     def test_population_scale_used(self):
         # ddof=0: std of {0, 0, 3, 3} is 1.5, not sqrt(3), so the scores are +-1
         clips = [make_clip(f"c{i}", h=v) for i, v in enumerate([0.0, 0.0, 3.0, 3.0])]
-        col = standardize(clips)[:, CLUSTER_FEATURES.index("h")]
+        col = standardize(clips)[:, CLIP_FEATURES.index("h")]
         assert col.tolist() == [-1.0, -1.0, 1.0, 1.0]
 
     def test_feature_matrix_column_order(self):
@@ -370,7 +369,7 @@ class TestClusterCsv:
         path = tmp_path / "centroids.csv"
         save_centroids_csv(path, a)
         lines = path.read_text().splitlines()
-        assert lines[0] == "cluster," + ",".join(CLUSTER_FEATURES)
+        assert lines[0] == "cluster," + ",".join(CLIP_FEATURES)
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "0"

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_eta.corpus import Corpus, EncodeTask, expand_tasks
+from corpus_eta.corpus import PRESET_ORD, Corpus, EncodeTask, expand_tasks
 from corpus_eta.errors import ValidationError
 from corpus_eta.gbrt import (FEATURE_NAMES, GbrtModel, GbrtParams, add_stage,
-                             feature_matrix, feature_row, load_model, model_from_dict,
+                             feature_matrix, load_model, model_from_dict,
                              model_to_dict, predict, save_model, train)
 
 from helpers import make_clip, make_corpus
@@ -700,18 +700,19 @@ class TestFeatureMapping:
                          num_frames=200, E=11.0, h=4.0, luma=77.0)
         task = EncodeTask(task_id="c:x264:veryslow:37", clip_id="c",
                           encoder="x264", preset="veryslow", cqp=37)
-        row = feature_row(clip, task)
+        rows = feature_matrix(Corpus(clips=(clip,), tasks=(task,)), [task.task_id])
         assert FEATURE_NAMES == ("height", "num_pixels", "framerate",
                                  "num_frames", "E", "h", "luma",
                                  "preset_ord", "cqp")
-        assert row.tolist() == [720.0, 921600.0, 25.0, 200.0, 11.0, 4.0,
-                                77.0, 2.0, 37.0]
+        assert rows.tolist() == [[720.0, 921600.0, 25.0, 200.0, 11.0, 4.0,
+                                  77.0, 2.0, 37.0]]
 
     def test_preset_rank_is_by_slowness(self):
         clip = make_clip("c")
-        ranks = [feature_row(clip, EncodeTask(f"c:x264:{p}:22", "c", "x264", p, 22))[7]
-                 for p in ("ultrafast", "medium", "veryslow")]
-        assert ranks == [0.0, 1.0, 2.0]
+        tasks = tuple(EncodeTask(f"c:x264:{p}:22", "c", "x264", p, 22)
+                      for p in ("ultrafast", "medium", "veryslow"))
+        rows = feature_matrix(Corpus(clips=(clip,), tasks=tasks), [t.task_id for t in tasks])
+        assert rows[:, FEATURE_NAMES.index("preset_ord")].tolist() == [0.0, 1.0, 2.0]
 
     def test_matrix_stacks_requested_tasks(self):
         corpus = make_corpus(n_clips=2)
@@ -721,8 +722,10 @@ class TestFeatureMapping:
         task_map = corpus.task_map()
         for i, task_id in enumerate(ids):
             task = task_map[task_id]
-            expected = feature_row(corpus.clip(task.clip_id), task)
-            assert np.array_equal(rows[i], expected)
+            clip = corpus.clip(task.clip_id)
+            expected = [float(getattr(clip, name)) for name in FEATURE_NAMES[:-2]]
+            expected += [PRESET_ORD[task.preset], task.cqp]
+            assert rows[i].tolist() == expected
 
     def test_no_tasks_give_an_empty_matrix(self):
         rows = feature_matrix(make_corpus(n_clips=1), [])

@@ -57,7 +57,10 @@ def test_per_task_predictions_score_the_sweep_metrics(system, corpus, tmp_path):
         gxp = {"gxp_model": model, "gxp_test_ids": split.test_ids}
         clips = [c for c in clips if c.source_group in TEST_GROUPS]
 
-    graded = run_realization(corpus, system, SEED, (C,), assignment=assignment,
+    # GXP's c = 0.0 point leaves its output on every task in the cache, which
+    # the graded point then slices
+    grid = (0.0, C) if system == "GXP" else (C,)
+    graded = run_realization(corpus, system, SEED, grid, assignment=assignment,
                              gbrt_params=PARAMS, **gxp).per_c[C]
 
     order = processing_order(corpus, system, assignment, gxp.get("gxp_test_ids"))

@@ -330,6 +330,50 @@ class TestStagedRefit:
         assert at_15.cache.plan == ((4, 6), (8, 1))
 
 
+class TestFittedModelCache:
+    """A fitted model's result carries its output on every row, which later
+    completion points of the same order slice."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(staged_cases(), st.data())
+    def test_cached_output_equals_a_fresh_prediction(self, case, data):
+        X, seconds, params, _ = case
+        total = len(seconds)
+        model = train(X, np.log(seconds), params)
+        counts = sorted(data.draw(st.lists(st.integers(0, total - 1), min_size=1,
+                                           max_size=8)))
+        cache = None
+        for n in counts:
+            cached = predict_remaining("GXP", seconds[:n], total, rows=X, model=model,
+                                       cache=cache)
+            fresh = predict_remaining("GXP", seconds[:n], total, rows=X, model=model)
+            assert np.array_equal(cached.t_hat, fresh.t_hat)
+            assert cached.T_hat == fresh.T_hat
+            assert cached.cache.plan == ()
+            assert np.array_equal(cached.cache.output, predict(model, X))
+            cache = cached.cache
+
+    def test_fitted_model_cache_is_not_boosted_on(self):
+        rng = np.random.default_rng(6)
+        X, seconds = rng.normal(size=(200, 3)), np.exp(rng.normal(size=200))
+        params = GbrtParams(num_trees=6, max_depth=2)
+        model = train(X[100:], np.log(seconds[100:]), params)
+        fitted = predict_remaining("GXP", [], 200, rows=X, model=model)
+        got = predict_remaining("XP", seconds[:50], 200, rows=X, model=params,
+                                cache=fitted.cache)
+        want = predict_remaining("XP", seconds[:50], 200, rows=X, model=params)
+        assert model_to_dict(got.model) == model_to_dict(want.model)
+        assert np.array_equal(got.t_hat, want.t_hat)
+
+    def test_cache_of_another_model_is_ignored(self):
+        X = np.zeros((4, 2))
+        first = predict_remaining("GXP", [], 4, rows=X, model=constant_model(0.0, 2))
+        model = constant_model(math.log(2.0), 2)
+        got = predict_remaining("GXP", [1.0], 4, rows=X, model=model, cache=first.cache)
+        assert got.t_hat.tolist() == pytest.approx([2.0] * 3, rel=1e-15)
+        assert got.cache.model is model
+
+
 class TestCxpOrder:
     @settings(max_examples=60, deadline=None)
     @given(labels=st.lists(st.integers(0, 4), min_size=1, max_size=10),
