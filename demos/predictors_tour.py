@@ -15,7 +15,7 @@ import numpy as np
 from corpus_eta.clustering import cluster_clips, task_labels
 from corpus_eta.gbrt import GbrtParams, feature_matrix
 from corpus_eta.harness import SynthSpec, run_realization, synth_corpus
-from corpus_eta.predictors import bp_predict, cp_predict, cxp_order, predict_remaining
+from corpus_eta.predictors import Forecast, bp_predict, cp_predict, cxp_order
 
 
 def main():
@@ -47,8 +47,8 @@ def main():
 
     params = GbrtParams(num_trees=40, max_depth=5, learning_rate=0.2,
                         min_samples_leaf=2)
-    xp = predict_remaining("XP", [seconds[tid] for tid in done], total,
-                           rows=feature_matrix(corpus, order), model=params)
+    xp = Forecast("XP", total, rows=feature_matrix(corpus, order),
+                  model=params).at([seconds[tid] for tid in done])
     print(f"XP   regresses log-seconds on task features:   "
           f"{xp.T_hat:12,.0f} s ({100 * (xp.T_hat / truth - 1):+6.1f}%)")
     print(f"     trees per stage, added as tasks completed: {xp.model.stages}")

@@ -24,7 +24,7 @@ from .errors import CorpusEtaError, ValidationError
 from .gbrt import GbrtParams, feature_matrix, load_model, save_model
 from .harness import (SweepConfig, SynthSpec, load_report_csv, monte_carlo,
                       synth_corpus, write_realisations_csv, write_report_csv)
-from .predictors import SYSTEMS, cascade_select, predict_remaining
+from .predictors import SYSTEMS, Forecast, cascade_select
 from .runner import CommandTemplate, batch_encode
 
 # Nothing here calls these; perfbench/tracing.py wraps them as attributes
@@ -171,15 +171,15 @@ def _split_labels(values) -> tuple[str, ...]:
 
 def cmd_simulate(args) -> int:
     if args.synthetic:
-        spec = SynthSpec(n_clips=args.n_clips, encoders=tuple(args.encoders),
+        spec = SynthSpec(n_clips=args.n_clips, encoders=tuple(args.encoders or SynthSpec.encoders),
                          sigma=args.sigma, num_groups=args.num_groups)
         corpus = synth_corpus(spec, seed=args.seed)
     else:
         if args.features is None or args.times is None:
             raise ValidationError(
                 "pass --synthetic, or --features and --times for a measured corpus")
-        corpus = load_corpus(args.features, times_path=args.times,
-                             tasks_path=args.tasks, encoders=args.encoders)
+        corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
+                             encoders=args.encoders or DEFAULT_ENCODERS)
     if args.corpus_out is not None:
         _save_corpus_dir(corpus, args.corpus_out)
         print(f"wrote corpus CSVs to {args.corpus_out}")
@@ -234,8 +234,8 @@ def cmd_predict(args) -> int:
         else:
             model = _gbrt_params(args)
         rows = feature_matrix(corpus, [t.task_id for t in order])
-    result = predict_remaining(system, [times[t.task_id].seconds for t in done],
-                               corpus.N, rows=rows, labels=labels, model=model)
+    result = Forecast(system, corpus.N, rows=rows, labels=labels,
+                      model=model).at([times[t.task_id].seconds for t in done])
     if args.model_out is not None and result.model is not None:
         save_model(args.model_out, result.model)
 
@@ -363,7 +363,9 @@ def build_parser() -> _Parser:
     p.add_argument("--tasks", default=None, help="measured corpus: tasks CSV")
     p.add_argument("--n-clips", type=int, default=spec.n_clips,
                    help="synthetic corpus size (default %(default)s)")
-    p.add_argument("--encoders", nargs="+", default=list(spec.encoders))
+    p.add_argument("--encoders", nargs="+", default=None,
+                   help=f"encoders to expand tasks over (default: {','.join(spec.encoders)} "
+                        f"for --synthetic, else {','.join(DEFAULT_ENCODERS)})")
     p.add_argument("--sigma", type=float, default=spec.sigma,
                    help="lognormal time noise (default %(default)s)")
     p.add_argument("--num-groups", type=int, default=spec.num_groups,

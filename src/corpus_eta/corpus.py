@@ -191,13 +191,6 @@ def expand_tasks(clips: Sequence[Clip], encoders: Sequence[str],
     return tasks
 
 
-def to_log_time(seconds: float) -> float:
-    """Natural log of a positive wall-clock duration."""
-    if not (seconds > 0.0):
-        raise ValidationError(f"seconds must be positive, got {seconds}")
-    return math.log(seconds)
-
-
 def float_text(x) -> str:
     """The one float rule for every table: shortest text that reads back bit for bit.
 

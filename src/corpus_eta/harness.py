@@ -25,7 +25,7 @@ from .corpus import (Clip, Corpus, TimeRecord, expand_tasks, float_text, parse_f
 from .errors import ValidationError
 from .gbrt import GbrtModel, GbrtParams, feature_matrix, train
 from .metrics import MetricReport, evaluate
-from .predictors import SYSTEMS, cxp_order, gxp_train_split, predict_remaining
+from .predictors import SYSTEMS, Forecast, cxp_order, gxp_train_split
 
 # Nothing here calls these; perfbench/tracing.py wraps them as attributes
 # of this module, so they stay importable from it.
@@ -212,8 +212,10 @@ def run_realization(corpus: Corpus, system: str, seed: int,
     elif system != "BP":
         rows = feature_matrix(corpus, order)
 
+    # one Forecast walks the grid, so each c-point starts from the work of the
+    # last: XP and CXP's fitted stages, GXP's output on every held-out task
+    forecast = Forecast(system, N, rows=rows, labels=labels, model=model)
     per_c: dict[float, MetricReport] = {}
-    cache = None
     for c in c_grid:
         n_done = math.floor(c * N)
         if n_done >= N:
@@ -221,11 +223,7 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         if n_done < 1 and system != "GXP":
             raise ValidationError(
                 f"c={c}: floor(c*N)=0 completed tasks, {system} needs at least one")
-        # each c-point hands the next the work it did: XP and CXP's fitted
-        # stages, GXP's output on every held-out task
-        res = predict_remaining(system, t[:n_done], N, rows=rows, labels=labels,
-                                model=model, cache=cache)
-        cache = res.cache
+        res = forecast.at(t[:n_done])
         per_c[float(c)] = evaluate(t[n_done:], res.t_hat)
     return RealizationResult(system=system, seed=seed, per_c=per_c)
 

@@ -11,9 +11,11 @@ XP and CXP refit in stages as tasks complete (``_refit_stages``): each
 stage adds trees fitted to the log-time residuals of a longer completed
 prefix, so the model carries forward rather than starting over.
 
-``predict_remaining`` is the one path from a completion state to a
-prediction; the Monte-Carlo sweep grades it and ``corpus-eta predict``
-ships it.
+``Forecast`` is the one path from a completion state to a prediction: one
+object per processing order, whose ``at`` predicts the queued tasks once the
+first n have completed, and which keeps the model's work from one completion
+point to the next. The Monte-Carlo sweep grades it and ``corpus-eta
+predict`` ships it.
 """
 
 from __future__ import annotations
@@ -25,27 +27,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterAssignment, task_labels
-from .corpus import Corpus, to_log_time
+from .corpus import Corpus
 from .errors import PredictionError, ValidationError
 from .gbrt import GbrtModel, GbrtParams, add_stage, feature_matrix, predict, train
 
 SYSTEMS = ("BP", "CP", "XP", "CXP", "GXP")
-
-
-@dataclass(frozen=True)
-class StageCache:
-    """A model's work on one processing order, for a later call on it.
-
-    For XP and CXP fitting their own model, it holds the stages fitted so
-    far: every stage ends at a schedule boundary, so each later completion
-    point of the same order starts with them. For a fitted model passed in,
-    ``plan`` is empty and nothing is refitted. ``output`` is the model's
-    log-time output on every task of the order.
-    """
-
-    model: GbrtModel
-    plan: tuple[tuple[int, int], ...]  # (completed rows, trees) of each stage
-    output: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,7 +43,6 @@ class AggregatePrediction:
     t_bar: float | None = None                   # BP: the global mean
     cluster_means: dict[int, float] | None = None  # CP: per-cluster means
     model: GbrtModel | None = None               # XP, CXP, GXP: the model used
-    cache: StageCache | None = None              # XP, CXP, GXP: work to reuse
 
 
 def _mean(times: Sequence[float]) -> float:
@@ -129,11 +114,11 @@ def xp_predict(model: GbrtModel, remaining: Mapping[str, Sequence[float]],
     return _model_total(model, predict(model, rows), c, system)
 
 
-def _model_total(model: GbrtModel, log_t: np.ndarray, c: float, system: str,
-                 cache: StageCache | None = None) -> AggregatePrediction:
+def _model_total(model: GbrtModel, log_t: np.ndarray, c: float,
+                 system: str) -> AggregatePrediction:
     per_task = np.exp(log_t)
     return AggregatePrediction(system=system, c=c, t_hat=per_task,
-                               T_hat=math.fsum(per_task.tolist()), model=model, cache=cache)
+                               T_hat=math.fsum(per_task.tolist()), model=model)
 
 
 def _first_boundary(total_tasks: int) -> int:
@@ -160,99 +145,112 @@ def _refit_stages(n: int, total_tasks: int, num_trees: int) -> list[tuple[int, i
     return plan
 
 
-def _fit_stages(rows: np.ndarray, log_t: np.ndarray, total_tasks: int, params: GbrtParams,
-                cache: StageCache | None) -> tuple[GbrtModel, np.ndarray, StageCache | None]:
-    """The staged model on the completed rows, its output on every row, and
-    the stages that end at a boundary, for the next call on the same order."""
-    n = log_t.size
-    plan = _refit_stages(n, total_tasks, params.num_trees)
-    # every stage but the last ends at a boundary; the last does when n is one
-    at_boundary = n == _first_boundary(total_tasks) << (len(plan) - 1)
-    keep = len(plan) if at_boundary else len(plan) - 1
-    done = 0
-    model = output = None
-    # an empty plan marks a fitted model's cache, which holds no stages to extend
-    if (cache is not None and cache.plan and cache.model.params == params
-            and tuple(plan[:len(cache.plan)]) == cache.plan
-            and cache.output.shape == (len(rows),)):
-        model, output, done = cache.model, cache.output, len(cache.plan)
-    else:
-        cache = None
-    for i, (end, trees) in enumerate(plan[done:], start=done):
-        if model is None:
-            model = train(rows[:end], log_t[:end], params)
-            output = predict(model, rows)
-        else:
-            model = add_stage(model, rows[:end], log_t[:end], trees, output[:end])
-            output = predict(model, rows, margin=output)
-        if i + 1 == keep:
-            cache = StageCache(model=model, plan=tuple(plan[:keep]), output=output)
-    return model, output, cache
+class Forecast:
+    """Predictions for one processing order, at any number of completed tasks.
 
+    ``rows`` (feature rows, for XP, CXP and GXP) or ``labels`` (cluster
+    labels, for CP) cover all ``total_tasks`` tasks in processing order,
+    completed first. XP and CXP fit a staged model on the completed rows and
+    their log-seconds when ``model`` is a GbrtParams (see ``_refit_stages``);
+    a fitted model (always, for GXP) is used as is. The inputs are checked
+    here: rows or labels that do not cover exactly ``total_tasks`` tasks,
+    negative labels, and a missing model raise ValidationError.
 
-def predict_remaining(system: str, completed: Sequence[float], total_tasks: int, *,
-                      rows: np.ndarray | None = None,
-                      labels: Sequence[int] | None = None,
-                      model: GbrtModel | GbrtParams | None = None,
-                      cache: StageCache | None = None) -> AggregatePrediction:
-    """Predict every queued task, and their total, from a completion state.
-
-    Inputs follow the processing order: ``completed`` holds the seconds of
-    the first n tasks, in the order they completed, and ``rows`` (feature
-    rows, for XP, CXP and GXP) or ``labels`` (cluster labels, for CP) cover
-    all ``total_tasks`` tasks, completed first. XP and CXP fit a staged model
-    on the completed rows and their log-seconds when ``model`` is a
-    GbrtParams (see ``_refit_stages``); a fitted model (always, for GXP) is
-    used as is. ``cache`` takes the ``cache`` of an earlier result on the
-    same rows and model or params, with a completed prefix of this call's:
-    a fitted model's output is then sliced rather than predicted again, and
-    stages it holds are not refitted. The result is bit-identical either
-    way, and a cache that does not match is ignored. ``t_hat`` is set for
-    every system. Rows or labels that do not cover exactly ``total_tasks``
-    tasks, and negative labels, raise ValidationError.
+    The object keeps the model's work for later calls: a fitted model's
+    output on every task, and the staged model's stages that end at a
+    schedule boundary, which every later completion point of the order
+    starts from. Results are bit-identical to a fresh Forecast's, whatever
+    order the calls come in.
     """
-    if system not in SYSTEMS:
-        raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
-    seconds = np.asarray(completed, dtype=np.float64)
-    n = seconds.size
-    if system == "BP":
-        res = bp_predict(seconds.tolist(), total_tasks)
-        return replace(res, t_hat=np.full(total_tasks - n, res.t_bar))
-    if system == "CP":
-        if labels is None:
-            raise ValidationError("CP needs the tasks' cluster labels")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (total_tasks,):
-            raise ValidationError(
-                f"CP needs one cluster label per task: got {labels.size} for {total_tasks}")
-        if (labels < 0).any():
-            raise ValidationError(f"cluster labels must be >= 0, got {labels.min()}")
-        by_cluster: dict[int, list[float]] = {}
-        for j, sec in zip(labels[:n].tolist(), seconds.tolist()):
-            by_cluster.setdefault(j, []).append(sec)
-        counts = np.bincount(labels)
-        res = cp_predict(by_cluster, counts, total_tasks)
-        means = np.asarray([res.cluster_means[j] for j in range(counts.size)])
-        return replace(res, t_hat=means[labels[n:]])
-    if rows is None:
-        raise ValidationError(f"{system} needs the tasks' feature rows")
-    if len(rows) != total_tasks:
-        raise ValidationError(
-            f"{system} needs one feature row per task: got {len(rows)} for {total_tasks}")
-    if n >= total_tasks:
-        raise PredictionError("nothing remaining to predict")
-    c = n / total_tasks
-    if isinstance(model, GbrtParams) and system != "GXP":
+
+    def __init__(self, system: str, total_tasks: int, *,
+                 rows: np.ndarray | None = None,
+                 labels: Sequence[int] | None = None,
+                 model: GbrtModel | GbrtParams | None = None):
+        if system not in SYSTEMS:
+            raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
+        self.system = system
+        self.total_tasks = total_tasks
+        self._rows = rows
+        self._model = model
+        self._output = None     # a fitted model's log-time output on every task
+        self._stages = ((), None, None)  # (plan, model, output) up to a boundary
+        if system == "CP":
+            if labels is None:
+                raise ValidationError("CP needs the tasks' cluster labels")
+            self._labels = np.asarray(labels, dtype=np.int64)
+            if self._labels.shape != (total_tasks,):
+                raise ValidationError(
+                    f"CP needs one cluster label per task: got {self._labels.size} "
+                    f"for {total_tasks}")
+            if (self._labels < 0).any():
+                raise ValidationError(
+                    f"cluster labels must be >= 0, got {self._labels.min()}")
+            self._counts = np.bincount(self._labels)
+        elif system != "BP":
+            if rows is None:
+                raise ValidationError(f"{system} needs the tasks' feature rows")
+            if len(rows) != total_tasks:
+                raise ValidationError(
+                    f"{system} needs one feature row per task: got {len(rows)} "
+                    f"for {total_tasks}")
+            if isinstance(model, GbrtModel):
+                self._output = predict(model, rows)
+            elif not isinstance(model, GbrtParams) or system == "GXP":
+                raise ValidationError(f"{system} needs a trained model")
+
+    def at(self, completed: Sequence[float]) -> AggregatePrediction:
+        """Predict every queued task, and their total, once the first n tasks
+        of the order have completed.
+
+        ``completed`` holds those tasks' seconds, in the order they completed;
+        the calls on one Forecast share that order, so the first seconds of a
+        longer call are a shorter call's. ``t_hat`` is set for every system.
+        """
+        seconds = np.asarray(completed, dtype=np.float64)
+        n, N = seconds.size, self.total_tasks
+        if self.system == "BP":
+            res = bp_predict(seconds.tolist(), N)
+            return replace(res, t_hat=np.full(N - n, res.t_bar))
+        if self.system == "CP":
+            by_cluster: dict[int, list[float]] = {}
+            for j, sec in zip(self._labels[:n].tolist(), seconds.tolist()):
+                by_cluster.setdefault(j, []).append(sec)
+            res = cp_predict(by_cluster, self._counts, N)
+            means = np.asarray([res.cluster_means[j] for j in range(self._counts.size)])
+            return replace(res, t_hat=means[self._labels[n:]])
+        if n >= N:
+            raise PredictionError("nothing remaining to predict")
+        if self._output is not None:
+            return _model_total(self._model, self._output[n:], n / N, self.system)
         if n == 0:
-            raise PredictionError(f"{system} needs at least one completed task to train on")
-        model, output, cache = _fit_stages(rows, np.log(seconds), total_tasks, model, cache)
-        return _model_total(model, output[n:], c, system, cache)
-    if not isinstance(model, GbrtModel):
-        raise ValidationError(f"{system} needs a trained model")
-    if (cache is None or cache.plan or cache.model is not model
-            or cache.output.shape != (len(rows),)):
-        cache = StageCache(model=model, plan=(), output=predict(model, rows))
-    return _model_total(model, cache.output[n:], c, system, cache)
+            raise PredictionError(f"{self.system} needs at least one completed task to train on")
+        model, output = self._fit_stages(np.log(seconds))
+        return _model_total(model, output[n:], n / N, self.system)
+
+    def _fit_stages(self, log_t: np.ndarray) -> tuple[GbrtModel, np.ndarray]:
+        """The staged model on the completed rows and its output on every row.
+
+        It starts from the kept stages when they are a prefix of this plan,
+        and keeps the stages that end at a boundary for the next call.
+        """
+        rows, n, N = self._rows, log_t.size, self.total_tasks
+        plan = _refit_stages(n, N, self._model.num_trees)
+        # every stage but the last ends at a boundary; the last does when n is one
+        keep = len(plan) if n == _first_boundary(N) << (len(plan) - 1) else len(plan) - 1
+        kept, model, output = self._stages
+        if tuple(plan[:len(kept)]) != kept:
+            kept, model, output = (), None, None
+        for i, (end, trees) in enumerate(plan[len(kept):], start=len(kept)):
+            if model is None:
+                model = train(rows[:end], log_t[:end], self._model)
+                output = predict(model, rows)
+            else:
+                model = add_stage(model, rows[:end], log_t[:end], trees, output[:end])
+                output = predict(model, rows, margin=output)
+            if i + 1 == keep:
+                self._stages = (tuple(plan[:keep]), model, output)
+        return model, output
 
 
 def cxp_order(corpus: Corpus, assignment: ClusterAssignment, seed: int) -> list[str]:
@@ -313,15 +311,15 @@ def gxp_train_split(corpus: Corpus, test_groups) -> GxpSplit:
         raise ValidationError("generalised split has an empty test side")
     if corpus.times is None:
         raise ValidationError("corpus has no measured times to train on")
-    targets = []
+    seconds = []
     for tid in train_ids:
         record = corpus.times.get(tid)
         if record is None:
             raise ValidationError(f"no measured time for training task {tid!r}")
-        targets.append(to_log_time(record.seconds))
+        seconds.append(record.seconds)
     return GxpSplit(train_ids=tuple(train_ids),
                     train_rows=feature_matrix(corpus, train_ids),
-                    train_targets=np.asarray(targets, dtype=np.float64),
+                    train_targets=np.log(np.asarray(seconds, dtype=np.float64)),
                     test_ids=tuple(test_ids))
 
 

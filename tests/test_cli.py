@@ -103,8 +103,10 @@ class TestFlagDefaults:
                 sim.k, tuple(sim.test_groups), sim.jobs) == (
             sweep.systems, sweep.num_realisations, sweep.c_grid, sweep.base_seed,
             sweep.k, sweep.test_groups, sweep.jobs)
-        assert (sim.n_clips, tuple(sim.encoders), sim.sigma, sim.num_groups) == (
-            spec.n_clips, spec.encoders, spec.sigma, spec.num_groups)
+        assert (sim.n_clips, sim.sigma, sim.num_groups) == (
+            spec.n_clips, spec.sigma, spec.num_groups)
+        # resolved by the kind of corpus: see TestSimulate's encoder defaults
+        assert sim.encoders is None
         assert _gbrt_params(sim) == _gbrt_params(pred) == GbrtParams() == sweep.gbrt
         assert pred.k == clus.k == DEFAULT_K == sweep.k
         assert pred.system is None and pred.config is None
@@ -430,6 +432,26 @@ class TestSimulate:
                    "--c-grid", "0.5", "--report-out", str(report)])
         assert rc == 0
         assert len(load_report_csv(report)) == 1
+
+    def test_measured_corpus_defaults_to_the_other_commands_encoders(self, tmp_path):
+        corpus = with_random_times(make_corpus(n_clips=2, encoders=("x264", "x265")),
+                                   np.random.default_rng(1))
+        features, times = tmp_path / "features.csv", tmp_path / "times.csv"
+        save_features_csv(features, corpus.clips)
+        save_times_csv(times, corpus.times)
+        corpus_args = ["--features", str(features), "--times", str(times)]
+        assert main(["ingest", *corpus_args]) == 0
+        rc = main(["simulate", *corpus_args, "--systems", "BP", "--realisations", "1",
+                   "--c-grid", "0.5", "--report-out", str(tmp_path / "r.csv")])
+        assert rc == 0
+
+    def test_synthetic_corpus_defaults_to_x264(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        rc = main(SIM_BASE + ["--report-out", str(tmp_path / "r.csv"),
+                              "--corpus-out", str(corpus_dir)])
+        assert rc == 0
+        rows = (corpus_dir / "tasks.csv").read_text().splitlines()[1:]
+        assert rows and all(":x264:" in row for row in rows)
 
     def test_measured_corpus_needs_times(self, corpus_files, tmp_path, capsys):
         _, features, _ = corpus_files

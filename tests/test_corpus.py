@@ -17,7 +17,7 @@ from corpus_eta.corpus import (CQPS, PRESETS, Clip, Corpus, EncodeTask, TimeReco
                                expand_tasks, load_corpus,
                                load_features_csv, load_tasks_csv, load_times_csv,
                                save_corpus, save_features_csv, save_tasks_csv,
-                               save_times_csv, task_id_for, to_log_time, float_text,
+                               save_times_csv, task_id_for, float_text,
                                read_csv, write_csv)
 from corpus_eta.errors import CsvParseError, ValidationError
 
@@ -189,33 +189,6 @@ class TestExpandTasks:
 class TestTaskIdFor:
     def test_format(self):
         assert task_id_for("clipA", "x265", "veryslow", 37) == "clipA:x265:veryslow:37"
-
-
-class TestLogTransform:
-    def test_identity_point(self):
-        assert to_log_time(1.0) == 0.0
-
-    def test_base_point(self):
-        assert to_log_time(math.e) == 1.0
-
-    def test_round_trip(self):
-        assert math.exp(to_log_time(137.25)) == pytest.approx(137.25, rel=1e-12)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(5)
-        for value in rng.uniform(1e-6, 1e6, size=50):
-            assert math.exp(to_log_time(value)) == pytest.approx(value, rel=1e-12)
-
-    def test_strictly_monotone(self):
-        rng = np.random.default_rng(6)
-        values = np.sort(rng.uniform(1e-3, 1e3, size=100))
-        logs = [to_log_time(v) for v in values]
-        assert all(a < b for a, b in zip(logs, logs[1:]))
-
-    @pytest.mark.parametrize("bad", [0.0, -3.0, float("nan")])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValidationError):
-            to_log_time(bad)
 
 
 class TestCsvRoundTrip:

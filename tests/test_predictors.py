@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_eta import predictors
 from corpus_eta.clustering import ClusterAssignment
 from corpus_eta.errors import PredictionError, ValidationError
 from corpus_eta.gbrt import GbrtParams, add_stage, model_to_dict, predict, train
-from corpus_eta.predictors import (DEFAULT_CASCADE, SYSTEMS, CascadePolicy,
+from corpus_eta.predictors import (DEFAULT_CASCADE, SYSTEMS, CascadePolicy, Forecast,
                                    _refit_stages, bp_predict, cascade_select, cp_predict,
-                                   cxp_order, gxp_train_split, predict_remaining,
-                                   xp_predict)
+                                   cxp_order, gxp_train_split, xp_predict)
 
 from helpers import make_clip, make_corpus, with_random_times
 
@@ -35,7 +35,7 @@ def assignment_for(labels, k):
 
 class TestBp:
     def test_two_of_four_hand_case(self):
-        pred = predict_remaining("BP", [2.0, 4.0], 4)
+        pred = Forecast("BP", 4).at([2.0, 4.0])
         assert pred.system == "BP"
         assert pred.c == 0.5
         assert pred.t_bar == 3.0
@@ -46,7 +46,7 @@ class TestBp:
         pred = bp_predict([5.0], 2)
         assert pred.T_hat == 5.0
         assert pred.t_hat is None
-        assert predict_remaining("BP", [5.0], 2).t_hat.tolist() == [5.0]
+        assert Forecast("BP", 2).at([5.0]).t_hat.tolist() == [5.0]
 
     def test_constant_times_scale_with_remaining_count(self):
         pred = bp_predict([7.5, 7.5], 8)
@@ -97,15 +97,15 @@ class TestCp:
             total = int(rng.integers(2, 40))
             n = int(rng.integers(1, total))
             times = rng.uniform(0.01, 100.0, size=n).tolist()
-            bp = predict_remaining("BP", times, total)
-            cp = predict_remaining("CP", times, total, labels=[0] * total)
+            bp = Forecast("BP", total).at(times)
+            cp = Forecast("CP", total, labels=[0] * total).at(times)
             assert cp.T_hat == bp.T_hat
             assert cp.c == bp.c
             assert cp.t_hat.tolist() == bp.t_hat.tolist()
 
     def test_per_task_values_follow_cluster_membership(self):
         # completed: labels 0, 1, 1; queued: labels 0, 1, 1
-        pred = predict_remaining("CP", [1.0, 9.0, 11.0], 6, labels=[0, 1, 1, 0, 1, 1])
+        pred = Forecast("CP", 6, labels=[0, 1, 1, 0, 1, 1]).at([1.0, 9.0, 11.0])
         assert pred.t_hat.tolist() == [1.0, 10.0, 10.0]
         assert pred.T_hat == cp_predict({0: [1.0], 1: [9.0, 11.0]}, [2, 4], 6).T_hat
 
@@ -165,14 +165,15 @@ class TestXp:
 
 
 class TestPredictRemaining:
-    """The one path from a completion state to per-task and total predictions."""
+    """Forecast: the one path from a completion state to per-task and total
+    predictions."""
 
     def test_xp_fits_on_the_completed_prefix(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 3))
         seconds = np.exp(rng.normal(size=40))
         params = GbrtParams(num_trees=4, max_depth=2)
-        pred = predict_remaining("CXP", seconds[:15], 40, rows=X, model=params)
+        pred = Forecast("CXP", 40, rows=X, model=params).at(seconds[:15])
         # boundaries ceil(40/50) * 2**j = 1, 2, 4, 8: four trees on the first
         # row, then ceil(4/6) = 1 tree on 2, 4 and 8 rows and on all 15
         y = np.log(seconds[:15])
@@ -190,7 +191,7 @@ class TestPredictRemaining:
 
     def test_fitted_model_used_as_is(self):
         model = constant_model(math.log(2.0), num_features=2)
-        pred = predict_remaining("GXP", [], 3, rows=np.zeros((3, 2)), model=model)
+        pred = Forecast("GXP", 3, rows=np.zeros((3, 2)), model=model).at([])
         assert pred.c == 0.0
         assert pred.t_hat.tolist() == pytest.approx([2.0] * 3, rel=1e-15)
         assert pred.model is model
@@ -206,23 +207,22 @@ class TestPredictRemaining:
     ])
     def test_missing_inputs_rejected(self, system, completed, kwargs, message):
         with pytest.raises(ValidationError, match=message):
-            predict_remaining(system, completed, 3, **kwargs)
+            Forecast(system, 3, **kwargs).at(completed)
 
     @pytest.mark.parametrize("num_labels", [5, 12])
     def test_cp_labels_must_cover_every_task(self, num_labels):
         labels = [0, 1] * (num_labels // 2) + [0] * (num_labels % 2)
         with pytest.raises(ValidationError,
                            match=f"one cluster label per task: got {num_labels} for 10"):
-            predict_remaining("CP", [1.0, 2.0], 10, labels=labels)
+            Forecast("CP", 10, labels=labels)
 
     def test_rows_must_cover_every_task(self):
         with pytest.raises(ValidationError, match="one feature row per task: got 10 for 5"):
-            predict_remaining("XP", [1.0, 2.0, 3.0], 5, rows=np.zeros((10, 2)),
-                              model=GbrtParams(num_trees=2, max_depth=1))
+            Forecast("XP", 5, rows=np.zeros((10, 2)), model=GbrtParams(num_trees=2, max_depth=1))
 
     def test_negative_cluster_label_rejected(self):
         with pytest.raises(ValidationError, match="cluster labels must be >= 0, got -1"):
-            predict_remaining("CP", [1.0, 2.0], 4, labels=[0, -1, 0, 1])
+            Forecast("CP", 4, labels=[0, -1, 0, 1])
 
 
 class TestRefitSchedule:
@@ -252,7 +252,7 @@ class TestRefitSchedule:
         X = rng.normal(size=(400, 3))
         seconds = np.exp(rng.normal(size=400))
         params = GbrtParams(num_trees=5, max_depth=3)
-        pred = predict_remaining("XP", seconds[:n], 400, rows=X, model=params)
+        pred = Forecast("XP", 400, rows=X, model=params).at(seconds[:n])
         model = train(X[:n], np.log(seconds[:n]), params)
         assert model_to_dict(pred.model) == model_to_dict(model)
         assert np.array_equal(pred.t_hat, np.exp(predict(model, X[n:])))
@@ -285,54 +285,63 @@ class TestStagedRefit:
             perm[start:end] = start + rng.permutation(end - start)
             start = end
         perm[n:] = n + rng.permutation(total - n)
-        want = predict_remaining("XP", seconds[:n], total, rows=X, model=params)
-        got = predict_remaining("XP", seconds[perm[:n]], total, rows=X[perm], model=params)
+        want = Forecast("XP", total, rows=X, model=params).at(seconds[:n])
+        got = Forecast("XP", total, rows=X[perm], model=params).at(seconds[perm[:n]])
         assert model_to_dict(got.model) == model_to_dict(want.model)
         assert got.T_hat == want.T_hat
 
     @settings(max_examples=30, deadline=None)
-    @given(staged_cases(), st.lists(st.floats(0.005, 0.95), min_size=1, max_size=8))
-    def test_cached_stages_equal_a_fresh_fit_at_every_c(self, case, grid):
+    @given(staged_cases(), st.data())
+    def test_cached_stages_equal_a_fresh_fit_at_every_c(self, case, data):
         X, seconds, params, _ = case
         total = len(seconds)
-        cache = None
-        for c in sorted(grid):
-            n = max(1, math.floor(c * total))
-            cached = predict_remaining("CXP", seconds[:n], total, rows=X, model=params,
-                                       cache=cache)
-            fresh = predict_remaining("CXP", seconds[:n], total, rows=X, model=params)
-            assert model_to_dict(cached.model) == model_to_dict(fresh.model)
-            assert np.array_equal(cached.t_hat, fresh.t_hat)
-            assert cached.T_hat == fresh.T_hat
-            if cached.cache is not None:
-                assert np.array_equal(cached.cache.output, predict(cached.cache.model, X))
-            cache = cached.cache
+        # any order, repeats included: a call on fewer tasks than the last refits
+        counts = data.draw(st.lists(st.integers(1, total - 1), min_size=1, max_size=8))
+        forecast = Forecast("CXP", total, rows=X, model=params)
+        for n in counts:
+            got = forecast.at(seconds[:n])
+            fresh = Forecast("CXP", total, rows=X, model=params).at(seconds[:n])
+            assert model_to_dict(got.model) == model_to_dict(fresh.model)
+            assert np.array_equal(got.t_hat, fresh.t_hat)
+            assert got.T_hat == fresh.T_hat
 
-    def test_cache_from_other_params_is_ignored(self):
-        rng = np.random.default_rng(4)
-        X, seconds = rng.normal(size=(200, 3)), np.exp(rng.normal(size=200))
-        params = GbrtParams(num_trees=6, max_depth=2)
-        first = predict_remaining("XP", seconds[:16], 200, rows=X, model=params)
-        assert first.cache.plan == ((4, 6), (8, 1), (16, 1))
-        other = GbrtParams(num_trees=6, max_depth=3)
-        got = predict_remaining("XP", seconds[:50], 200, rows=X, model=other,
-                                cache=first.cache)
-        want = predict_remaining("XP", seconds[:50], 200, rows=X, model=other)
-        assert model_to_dict(got.model) == model_to_dict(want.model)
+    def test_only_boundary_stages_are_cached(self, monkeypatch):
+        fits = []
 
-    def test_only_boundary_stages_are_cached(self):
+        def counted_train(rows, log_t, params):
+            fits.append(("train", len(rows)))
+            return train(rows, log_t, params)
+
+        def counted_add_stage(model, rows, log_t, trees, margin):
+            fits.append(("add_stage", len(rows)))
+            return add_stage(model, rows, log_t, trees, margin)
+
+        monkeypatch.setattr(predictors, "train", counted_train)
+        monkeypatch.setattr(predictors, "add_stage", counted_add_stage)
         rng = np.random.default_rng(5)
         X, seconds = rng.normal(size=(200, 3)), np.exp(rng.normal(size=200))
-        params = GbrtParams(num_trees=6, max_depth=2)
-        assert predict_remaining("XP", seconds[:3], 200, rows=X, model=params).cache is None
-        at_15 = predict_remaining("XP", seconds[:15], 200, rows=X, model=params)
+        forecast = Forecast("XP", 200, rows=X, model=GbrtParams(num_trees=6, max_depth=2))
+
+        def fitted_at(n):
+            fits.clear()
+            pred = forecast.at(seconds[:n])
+            return pred, list(fits)
+
+        # boundaries 4, 8, 16, 32, 64: the last stage is kept only when it ends at one
+        assert fitted_at(3)[1] == [("train", 3)]
+        at_15, fitted = fitted_at(15)
         assert at_15.model.stages == (6, 1, 1)
-        assert at_15.cache.plan == ((4, 6), (8, 1))
+        assert fitted == [("train", 4), ("add_stage", 8), ("add_stage", 15)]
+        assert fitted_at(40)[1] == [("add_stage", 16), ("add_stage", 32), ("add_stage", 40)]
+        assert fitted_at(64)[1] == [("add_stage", 64)]
+        assert fitted_at(64)[1] == []
+        assert fitted_at(20)[1] == [("train", 4), ("add_stage", 8), ("add_stage", 16),
+                                    ("add_stage", 20)]
 
 
 class TestFittedModelCache:
-    """A fitted model's result carries its output on every row, which later
-    completion points of the same order slice."""
+    """A Forecast on a fitted model predicts every row once, and each
+    completion point slices that output."""
 
     @settings(max_examples=30, deadline=None)
     @given(staged_cases(), st.data())
@@ -340,38 +349,14 @@ class TestFittedModelCache:
         X, seconds, params, _ = case
         total = len(seconds)
         model = train(X, np.log(seconds), params)
-        counts = sorted(data.draw(st.lists(st.integers(0, total - 1), min_size=1,
-                                           max_size=8)))
-        cache = None
+        counts = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=8))
+        forecast = Forecast("GXP", total, rows=X, model=model)
         for n in counts:
-            cached = predict_remaining("GXP", seconds[:n], total, rows=X, model=model,
-                                       cache=cache)
-            fresh = predict_remaining("GXP", seconds[:n], total, rows=X, model=model)
-            assert np.array_equal(cached.t_hat, fresh.t_hat)
-            assert cached.T_hat == fresh.T_hat
-            assert cached.cache.plan == ()
-            assert np.array_equal(cached.cache.output, predict(model, X))
-            cache = cached.cache
-
-    def test_fitted_model_cache_is_not_boosted_on(self):
-        rng = np.random.default_rng(6)
-        X, seconds = rng.normal(size=(200, 3)), np.exp(rng.normal(size=200))
-        params = GbrtParams(num_trees=6, max_depth=2)
-        model = train(X[100:], np.log(seconds[100:]), params)
-        fitted = predict_remaining("GXP", [], 200, rows=X, model=model)
-        got = predict_remaining("XP", seconds[:50], 200, rows=X, model=params,
-                                cache=fitted.cache)
-        want = predict_remaining("XP", seconds[:50], 200, rows=X, model=params)
-        assert model_to_dict(got.model) == model_to_dict(want.model)
-        assert np.array_equal(got.t_hat, want.t_hat)
-
-    def test_cache_of_another_model_is_ignored(self):
-        X = np.zeros((4, 2))
-        first = predict_remaining("GXP", [], 4, rows=X, model=constant_model(0.0, 2))
-        model = constant_model(math.log(2.0), 2)
-        got = predict_remaining("GXP", [1.0], 4, rows=X, model=model, cache=first.cache)
-        assert got.t_hat.tolist() == pytest.approx([2.0] * 3, rel=1e-15)
-        assert got.cache.model is model
+            got = forecast.at(seconds[:n])
+            fresh = Forecast("GXP", total, rows=X, model=model).at(seconds[:n])
+            assert model_to_dict(got.model) == model_to_dict(fresh.model)
+            assert np.array_equal(got.t_hat, fresh.t_hat)
+            assert got.T_hat == fresh.T_hat
 
 
 class TestCxpOrder:

@@ -87,9 +87,13 @@ class TestRunEncode:
     def test_half_second_command_timed_in_band(self, tmp_path):
         corpus, input_dir = small_corpus(tmp_path, n_clips=1)
         task, clip = corpus.tasks[0], corpus.clips[0]
+        start = time.monotonic()
         result = run_encode(task, clip, SLEEP_HALF,
                             input_dir / f"{clip.clip_id}.yuv", tmp_path / "scratch")
-        assert 0.4 <= result.seconds <= 0.7
+        span = time.monotonic() - start
+        # the child sleeps 0.5 s, and the timing lies inside the call: bounds
+        # that a loaded machine cannot break
+        assert 0.5 <= result.seconds <= span
         assert not result.suspect
 
     def test_log_captures_stdout_and_stderr(self, tmp_path):
