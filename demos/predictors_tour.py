@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from corpus_eta.clustering import cluster_clips, task_labels
-from corpus_eta.gbrt import GbrtParams, feature_matrix
+from corpus_eta.gbrt import GbrtParams
 from corpus_eta.harness import SynthSpec, run_realization, synth_corpus
-from corpus_eta.predictors import Forecast, bp_predict, cp_predict, cxp_order
+from corpus_eta.predictors import Forecast, cxp_order
 
 
 def main():
@@ -24,38 +24,32 @@ def main():
     rng = np.random.default_rng(99)
     order = [corpus.tasks[i].task_id for i in rng.permutation(total)]
     n_done = total // 10
-    done, queued = order[:n_done], order[n_done:]
-    seconds = {tid: corpus.times[tid].seconds for tid in order}
-    truth = math.fsum(seconds[tid] for tid in queued)
+    done = corpus.seconds_of(order[:n_done])
+    truth = math.fsum(corpus.seconds_of(order[n_done:]).tolist())
     print(f"{total} tasks, {n_done} completed (c={n_done / total:.2f}); "
           f"true remaining = {truth:,.0f} s\n")
 
-    bp = bp_predict([seconds[tid] for tid in done], total)
+    # one Forecast per system and processing order; ``at`` takes the seconds
+    # of the tasks completed so far
+    bp = Forecast("BP", corpus, order).at(done)
     print(f"BP   extrapolates the running mean:            "
           f"{bp.T_hat:12,.0f} s ({100 * (bp.T_hat / truth - 1):+6.1f}%)")
 
     assignment = cluster_clips(corpus.clips, k=6, seed=0)
-    counts = np.bincount(task_labels(assignment, corpus.tasks), minlength=assignment.k)
-    by_cluster = {j: [] for j in range(assignment.k)}
-    task_map = corpus.task_map()
-    done_labels = task_labels(assignment, [task_map[tid] for tid in done])
-    for tid, label in zip(done, done_labels.tolist()):
-        by_cluster[label].append(seconds[tid])
-    cp = cp_predict(by_cluster, counts, total)
+    cp = Forecast("CP", corpus, order, assignment=assignment).at(done)
     print(f"CP   keeps one mean per complexity cluster:    "
           f"{cp.T_hat:12,.0f} s ({100 * (cp.T_hat / truth - 1):+6.1f}%)")
 
     params = GbrtParams(num_trees=40, max_depth=5, learning_rate=0.2,
                         min_samples_leaf=2)
-    xp = Forecast("XP", total, rows=feature_matrix(corpus, order),
-                  model=params).at([seconds[tid] for tid in done])
+    xp = Forecast("XP", corpus, order, model=params).at(done)
     print(f"XP   regresses log-seconds on task features:   "
           f"{xp.T_hat:12,.0f} s ({100 * (xp.T_hat / truth - 1):+6.1f}%)")
     print(f"     trees per stage, added as tasks completed: {xp.model.stages}")
 
     balanced = cxp_order(corpus, assignment, seed=99)
     print(f"\nCXP reorders the queue so early tasks cover all clusters;")
-    first = task_labels(assignment, [task_map[tid] for tid in balanced[:12]]).tolist()
+    first = task_labels(assignment, corpus.tasks_of(balanced[:12])).tolist()
     print(f"cluster labels of the first 12 tasks under that order: {first}")
 
     print("\nPrediction error (SAPE %) as the batch completes:")

@@ -15,13 +15,12 @@ import sys
 from fractions import Fraction
 
 from . import complexity, corpus as corpus_mod
-from .clustering import (DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv,
-                         task_labels)
+from .clustering import DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv
 from .config import load_config
 from .corpus import (DEFAULT_ENCODERS, Clip, float_text, load_corpus, load_features_csv,
                      save_corpus, write_csv)
 from .errors import CorpusEtaError, ValidationError
-from .gbrt import GbrtParams, feature_matrix, load_model, save_model
+from .gbrt import GbrtParams, load_model, save_model
 from .harness import (SweepConfig, SynthSpec, load_report_csv, monte_carlo,
                       synth_corpus, write_realisations_csv, write_report_csv)
 from .predictors import SYSTEMS, Forecast, cascade_select
@@ -29,7 +28,7 @@ from .runner import CommandTemplate, batch_encode
 
 # Nothing here calls these; perfbench/tracing.py wraps them as attributes
 # of this module, so they stay importable from it.
-from .gbrt import train  # noqa: F401
+from .gbrt import feature_matrix, train  # noqa: F401
 from .predictors import bp_predict, cp_predict, xp_predict  # noqa: F401
 
 USAGE_EXIT = 64
@@ -214,17 +213,15 @@ def cmd_predict(args) -> int:
     corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
                          encoders=args.encoders)
     times = corpus.times or {}
-    task_map = corpus.task_map()
-    done = [task_map[task_id] for task_id in times]
-    queued = [t for t in corpus.tasks if t.task_id not in times]
+    done = list(times)
+    queued = [t.task_id for t in corpus.tasks if t.task_id not in times]
     if not queued:
         raise ValidationError("every task already has a measured time; nothing to predict")
     system = args.system or cascade_select(cascade, len(done) / corpus.N)
 
-    order = done + queued
-    rows = labels = model = None
+    assignment = model = None
     if system == "CP":
-        labels = task_labels(cluster_clips(corpus.clips, k=args.k, seed=args.seed), order)
+        assignment = cluster_clips(corpus.clips, k=args.k, seed=args.seed)
     elif system != "BP":
         if args.model_in is not None:
             model = load_model(args.model_in)
@@ -233,16 +230,15 @@ def cmd_predict(args) -> int:
                                   "pass --model-in")
         else:
             model = _gbrt_params(args)
-        rows = feature_matrix(corpus, [t.task_id for t in order])
-    result = Forecast(system, corpus.N, rows=rows, labels=labels,
-                      model=model).at([times[t.task_id].seconds for t in done])
+    result = Forecast(system, corpus, done + queued, assignment=assignment,
+                      model=model).at(corpus.seconds_of(done))
     if args.model_out is not None and result.model is not None:
         save_model(args.model_out, result.model)
 
     if args.per_task_out is not None:
         write_csv(args.per_task_out, ["task_id", "predicted_seconds"],
                   ([tid, float_text(seconds)] for tid, seconds
-                   in sorted(zip((t.task_id for t in queued), result.t_hat.tolist()))))
+                   in sorted(zip(queued, result.t_hat.tolist()))))
 
     doc = {
         "system": result.system,

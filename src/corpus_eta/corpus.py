@@ -21,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import CsvParseError, ValidationError
 
 PRESETS = ("ultrafast", "medium", "veryslow")
@@ -165,6 +167,23 @@ class Corpus:
 
     def task_map(self) -> dict[str, EncodeTask]:
         return {t.task_id: t for t in self.tasks}
+
+    def tasks_of(self, task_ids: Sequence[str]) -> list[EncodeTask]:
+        """The task of each id, in the order of ``task_ids``."""
+        task_map = self.task_map()
+        try:
+            return [task_map[tid] for tid in task_ids]
+        except KeyError as exc:
+            raise ValidationError(f"unknown task_id {exc.args[0]!r}") from None
+
+    def seconds_of(self, task_ids: Sequence[str]) -> np.ndarray:
+        """Measured seconds of each task, in the order of ``task_ids``."""
+        if self.times is None and len(task_ids):
+            raise ValidationError("corpus has no measured times")
+        try:
+            return np.array([self.times[tid].seconds for tid in task_ids], dtype=np.float64)
+        except KeyError as exc:
+            raise ValidationError(f"no measured time for task {exc.args[0]!r}") from None
 
 
 def expand_tasks(clips: Sequence[Clip], encoders: Sequence[str],

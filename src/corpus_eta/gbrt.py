@@ -103,14 +103,10 @@ class GbrtModel:
 
 def feature_matrix(corpus: Corpus, task_ids: Sequence[str]) -> np.ndarray:
     """Model features of each task, one row per id, ordered per FEATURE_NAMES."""
-    task_map = corpus.task_map()
     by_clip: dict[str, tuple] = {}
 
     def rows():
-        for task_id in task_ids:
-            task = task_map.get(task_id)
-            if task is None:
-                raise ValidationError(f"unknown task_id {task_id!r}")
+        for task in corpus.tasks_of(task_ids):
             head = by_clip.get(task.clip_id)
             if head is None:
                 head = by_clip[task.clip_id] = corpus.clip(task.clip_id).feature_values

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips, task_labels
+from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips
 from .corpus import (Clip, Corpus, TimeRecord, expand_tasks, float_text, parse_field,
                      read_csv, write_csv)
 from .errors import ValidationError
@@ -165,18 +165,6 @@ class RealizationResult:
     per_c: dict[float, MetricReport]
 
 
-def _times_in_order(corpus: Corpus, order: Sequence[str]) -> np.ndarray:
-    if corpus.times is None:
-        raise ValidationError("corpus has no measured times")
-    out = np.empty(len(order), dtype=np.float64)
-    for i, tid in enumerate(order):
-        record = corpus.times.get(tid)
-        if record is None:
-            raise ValidationError(f"no measured time for task {tid!r}")
-        out[i] = record.seconds
-    return out
-
-
 def run_realization(corpus: Corpus, system: str, seed: int,
                     c_grid: Sequence[float] = DEFAULT_C_GRID, *,
                     assignment: ClusterAssignment | None = None,
@@ -189,10 +177,8 @@ def run_realization(corpus: Corpus, system: str, seed: int,
     cluster-stratified order; GXP shuffles only the held-out tasks and uses
     the model trained once on the rest.
     """
-    if system not in SYSTEMS:
-        raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
-    if system in ("CP", "CXP") and assignment is None:
-        raise ValidationError(f"{system} needs a cluster assignment")
+    if system == "CXP" and assignment is None:
+        raise ValidationError("CXP needs a cluster assignment")
     if system == "GXP" and (gxp_model is None or gxp_test_ids is None):
         raise ValidationError("GXP needs a pre-trained model and the held-out task ids")
 
@@ -203,18 +189,11 @@ def run_realization(corpus: Corpus, system: str, seed: int,
         order = [pool[i] for i in np.random.default_rng(seed).permutation(len(pool))]
     model = gxp_model if system == "GXP" else gbrt_params
 
-    N = len(order)
-    t = _times_in_order(corpus, order)
-    rows = labels = None
-    if system == "CP":
-        tmap = corpus.task_map()
-        labels = task_labels(assignment, [tmap[tid] for tid in order])
-    elif system != "BP":
-        rows = feature_matrix(corpus, order)
-
     # one Forecast walks the grid, so each c-point starts from the work of the
     # last: XP and CXP's fitted stages, GXP's output on every held-out task
-    forecast = Forecast(system, N, rows=rows, labels=labels, model=model)
+    forecast = Forecast(system, corpus, order, assignment=assignment, model=model)
+    N = len(order)
+    t = corpus.seconds_of(order)
     per_c: dict[float, MetricReport] = {}
     for c in c_grid:
         n_done = math.floor(c * N)
@@ -286,10 +265,6 @@ def _realisation_job(context, system: str, seed: int, inputs: dict) -> Realizati
     return run_realization(corpus, system, seed, c_grid, gbrt_params=gbrt_params, **inputs)
 
 
-# realisation cost, heaviest first: XP and CXP refit GBRT stages at every c-point
-_HEAVIEST_FIRST = ("XP", "CXP", "GXP", "CP", "BP")
-
-
 def _worker_count(jobs: int | None, n_jobs: int) -> int:
     """Worker processes for n_jobs realisations: ``jobs``, or when it is None
     one per CPU this process may use; never more than n_jobs."""
@@ -343,9 +318,10 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
     futures: dict[tuple[str, int], Future] = {}
 
     def queue(systems, inputs: dict) -> None:
-        for system in sorted(set(systems) & set(config.systems), key=_HEAVIEST_FIRST.index):
-            for seed in seeds:
-                futures[(system, seed)] = submit(_realisation_job, system, seed, inputs)
+        for system in systems:
+            if system in config.systems:
+                for seed in seeds:
+                    futures[(system, seed)] = submit(_realisation_job, system, seed, inputs)
 
     try:
         clusters = model = None
@@ -353,10 +329,11 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
             clusters = submit(_cluster_job, config.k, config.base_seed)
         if split is not None:
             model = submit(_train_job, split.train_rows, split.train_targets)
-        queue(("BP", "XP"), {})
+        # each group heaviest first: XP and CXP refit GBRT stages at every c-point
+        queue(("XP", "BP"), {})
         if clusters is not None:
             assignment = clusters.result()
-        queue(("CP", "CXP"), {"assignment": assignment})
+        queue(("CXP", "CP"), {"assignment": assignment})
         if model is not None:
             queue(("GXP",), {"gxp_model": model.result(), "gxp_test_ids": split.test_ids})
         results = [futures[(system, seed)].result()

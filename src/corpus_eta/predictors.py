@@ -12,14 +12,15 @@ stage adds trees fitted to the log-time residuals of a longer completed
 prefix, so the model carries forward rather than starting over.
 
 ``Forecast`` is the one path from a completion state to a prediction: one
-object per processing order, whose ``at`` predicts the queued tasks once the
-first n have completed, and which keeps the model's work from one completion
-point to the next. The Monte-Carlo sweep grades it and ``corpus-eta
-predict`` ships it.
+object per corpus and processing order, which builds each system's inputs
+itself, whose ``at`` predicts the queued tasks once the first n have
+completed, and which keeps the model's work from one completion point to the
+next. The Monte-Carlo sweep grades it and ``corpus-eta predict`` ships it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -148,13 +149,14 @@ def _refit_stages(n: int, total_tasks: int, num_trees: int) -> list[tuple[int, i
 class Forecast:
     """Predictions for one processing order, at any number of completed tasks.
 
-    ``rows`` (feature rows, for XP, CXP and GXP) or ``labels`` (cluster
-    labels, for CP) cover all ``total_tasks`` tasks in processing order,
-    completed first. XP and CXP fit a staged model on the completed rows and
+    ``order`` holds the ids of the corpus's tasks in processing order,
+    completed first; its length is the task count N. CP takes each task's
+    cluster from ``assignment``; XP, CXP and GXP take the tasks' feature rows
+    from the corpus. XP and CXP fit a staged model on the completed rows and
     their log-seconds when ``model`` is a GbrtParams (see ``_refit_stages``);
-    a fitted model (always, for GXP) is used as is. The inputs are checked
-    here: rows or labels that do not cover exactly ``total_tasks`` tasks,
-    negative labels, and a missing model raise ValidationError.
+    a fitted model (always, for GXP) is used as is. An unknown system or task
+    id, CP without an assignment and a missing model raise ValidationError
+    here.
 
     The object keeps the model's work for later calls: a fitted model's
     output on every task, and the staged model's stages that end at a
@@ -163,41 +165,29 @@ class Forecast:
     order the calls come in.
     """
 
-    def __init__(self, system: str, total_tasks: int, *,
-                 rows: np.ndarray | None = None,
-                 labels: Sequence[int] | None = None,
+    def __init__(self, system: str, corpus: Corpus, order: Sequence[str], *,
+                 assignment: ClusterAssignment | None = None,
                  model: GbrtModel | GbrtParams | None = None):
         if system not in SYSTEMS:
             raise ValidationError(f"unknown system {system!r}, expected one of {SYSTEMS}")
+        tasks = corpus.tasks_of(order)
         self.system = system
-        self.total_tasks = total_tasks
-        self._rows = rows
+        self.total_tasks = len(tasks)
         self._model = model
         self._output = None     # a fitted model's log-time output on every task
         self._stages = ((), None, None)  # (plan, model, output) up to a boundary
         if system == "CP":
-            if labels is None:
-                raise ValidationError("CP needs the tasks' cluster labels")
-            self._labels = np.asarray(labels, dtype=np.int64)
-            if self._labels.shape != (total_tasks,):
-                raise ValidationError(
-                    f"CP needs one cluster label per task: got {self._labels.size} "
-                    f"for {total_tasks}")
-            if (self._labels < 0).any():
-                raise ValidationError(
-                    f"cluster labels must be >= 0, got {self._labels.min()}")
+            if assignment is None:
+                raise ValidationError("CP needs a cluster assignment")
+            self._labels = task_labels(assignment, tasks)
             self._counts = np.bincount(self._labels)
         elif system != "BP":
-            if rows is None:
-                raise ValidationError(f"{system} needs the tasks' feature rows")
-            if len(rows) != total_tasks:
-                raise ValidationError(
-                    f"{system} needs one feature row per task: got {len(rows)} "
-                    f"for {total_tasks}")
-            if isinstance(model, GbrtModel):
-                self._output = predict(model, rows)
-            elif not isinstance(model, GbrtParams) or system == "GXP":
+            fitted = isinstance(model, GbrtModel)
+            if not fitted and (not isinstance(model, GbrtParams) or system == "GXP"):
                 raise ValidationError(f"{system} needs a trained model")
+            self._rows = feature_matrix(corpus, order)
+            if fitted:
+                self._output = predict(model, self._rows)
 
     def at(self, completed: Sequence[float]) -> AggregatePrediction:
         """Predict every queued task, and their total, once the first n tasks
@@ -270,16 +260,7 @@ def cxp_order(corpus: Corpus, assignment: ClusterAssignment, seed: int) -> list[
             perm = rng.permutation(len(bucket))
             bucket[:] = [bucket[i] for i in perm]
 
-    order: list[str] = []
-    cursor = [0] * assignment.k
-    remaining = len(corpus.tasks)
-    while remaining:
-        for j in range(assignment.k):
-            if cursor[j] < len(buckets[j]):
-                order.append(buckets[j][cursor[j]])
-                cursor[j] += 1
-                remaining -= 1
-    return order
+    return [tid for row in itertools.zip_longest(*buckets) for tid in row if tid is not None]
 
 
 @dataclass(frozen=True)
@@ -309,17 +290,9 @@ def gxp_train_split(corpus: Corpus, test_groups) -> GxpSplit:
         raise ValidationError("generalised split has an empty training side")
     if not test_ids:
         raise ValidationError("generalised split has an empty test side")
-    if corpus.times is None:
-        raise ValidationError("corpus has no measured times to train on")
-    seconds = []
-    for tid in train_ids:
-        record = corpus.times.get(tid)
-        if record is None:
-            raise ValidationError(f"no measured time for training task {tid!r}")
-        seconds.append(record.seconds)
     return GxpSplit(train_ids=tuple(train_ids),
                     train_rows=feature_matrix(corpus, train_ids),
-                    train_targets=np.log(np.asarray(seconds, dtype=np.float64)),
+                    train_targets=np.log(corpus.seconds_of(train_ids)),
                     test_ids=tuple(test_ids))
 
 
@@ -333,6 +306,8 @@ class CascadePolicy:
         if not self.thresholds:
             raise ValidationError("cascade policy must have at least one entry")
         bounds = [b for b, _ in self.thresholds]
+        if not all(0.0 <= b < math.inf for b in bounds):
+            raise ValidationError(f"cascade bounds must be finite and >= 0, got {bounds}")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValidationError(f"cascade bounds must be strictly increasing, got {bounds}")
         if bounds[-1] != 1.0:

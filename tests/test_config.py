@@ -75,7 +75,7 @@ cascade:
         assert load_config(path).thresholds == ((0.0, "GXP"), (1.0, "CP"))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1.0, exclude_max=True,
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                               allow_nan=False), unique=True, max_size=5),
            st.data())
     def test_valid_policy_round_trips_through_yaml(self, lower_bounds, data):
@@ -158,6 +158,13 @@ class TestRejections:
                             "cascade:\n  bounds: [0.5]\n  systems: [CP]\n")
         with pytest.raises(Exception, match="end at 1.0"):
             load_config(path)
+
+    def test_nan_bound_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, "cascade:\n  bounds: [0.0, .nan, 1.0]\n"
+                                      "  systems: [GXP, CXP, CP]\n")
+        assert predict_with_config(tmp_path, path) == 1
+        assert "cascade bounds must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "per_task.csv").exists()
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from corpus_eta import predictors
 from corpus_eta.clustering import ClusterAssignment
+from corpus_eta.corpus import Corpus, expand_tasks
 from corpus_eta.errors import PredictionError, ValidationError
-from corpus_eta.gbrt import GbrtParams, add_stage, model_to_dict, predict, train
+from corpus_eta.gbrt import (GbrtParams, add_stage, feature_matrix, model_to_dict, predict,
+                             train)
 from corpus_eta.predictors import (DEFAULT_CASCADE, SYSTEMS, CascadePolicy, Forecast,
                                    _refit_stages, bp_predict, cascade_select, cp_predict,
                                    cxp_order, gxp_train_split, xp_predict)
@@ -33,9 +35,26 @@ def assignment_for(labels, k):
                              sse_per_iter=(0.0,), n_iter=1)
 
 
+def one_task_per_clip(n):
+    """A corpus of n clips with one task each, and its task ids in corpus order."""
+    corpus = make_corpus(n_clips=n, presets=("medium",), cqps=(22,))
+    return corpus, [t.task_id for t in corpus.tasks]
+
+
+def clip_labels(corpus, labels, k):
+    """An assignment that puts clip i of the corpus in cluster labels[i]."""
+    return assignment_for({c.clip_id: j for c, j in zip(corpus.clips, labels)}, k)
+
+
+def random_order(corpus, rng, size=None):
+    """The ids of ``size`` of the corpus's tasks (all by default), shuffled."""
+    ids = [t.task_id for t in corpus.tasks]
+    return [ids[i] for i in rng.permutation(len(ids))[:size]]
+
+
 class TestBp:
     def test_two_of_four_hand_case(self):
-        pred = Forecast("BP", 4).at([2.0, 4.0])
+        pred = Forecast("BP", *one_task_per_clip(4)).at([2.0, 4.0])
         assert pred.system == "BP"
         assert pred.c == 0.5
         assert pred.t_bar == 3.0
@@ -46,7 +65,7 @@ class TestBp:
         pred = bp_predict([5.0], 2)
         assert pred.T_hat == 5.0
         assert pred.t_hat is None
-        assert Forecast("BP", 2).at([5.0]).t_hat.tolist() == [5.0]
+        assert Forecast("BP", *one_task_per_clip(2)).at([5.0]).t_hat.tolist() == [5.0]
 
     def test_constant_times_scale_with_remaining_count(self):
         pred = bp_predict([7.5, 7.5], 8)
@@ -93,19 +112,24 @@ class TestCp:
 
     def test_single_cluster_reduces_to_bp_bitwise(self):
         rng = np.random.default_rng(2)
+        corpus, ids = one_task_per_clip(40)
+        assignment = clip_labels(corpus, [0] * 40, 1)
         for _ in range(100):
             total = int(rng.integers(2, 40))
             n = int(rng.integers(1, total))
             times = rng.uniform(0.01, 100.0, size=n).tolist()
-            bp = Forecast("BP", total).at(times)
-            cp = Forecast("CP", total, labels=[0] * total).at(times)
+            order = random_order(corpus, rng, total)
+            bp = Forecast("BP", corpus, order).at(times)
+            cp = Forecast("CP", corpus, order, assignment=assignment).at(times)
             assert cp.T_hat == bp.T_hat
             assert cp.c == bp.c
             assert cp.t_hat.tolist() == bp.t_hat.tolist()
 
     def test_per_task_values_follow_cluster_membership(self):
         # completed: labels 0, 1, 1; queued: labels 0, 1, 1
-        pred = Forecast("CP", 6, labels=[0, 1, 1, 0, 1, 1]).at([1.0, 9.0, 11.0])
+        corpus, ids = one_task_per_clip(6)
+        assignment = clip_labels(corpus, [0, 1, 1, 0, 1, 1], 2)
+        pred = Forecast("CP", corpus, ids, assignment=assignment).at([1.0, 9.0, 11.0])
         assert pred.t_hat.tolist() == [1.0, 10.0, 10.0]
         assert pred.T_hat == cp_predict({0: [1.0], 1: [9.0, 11.0]}, [2, 4], 6).T_hat
 
@@ -170,10 +194,13 @@ class TestPredictRemaining:
 
     def test_xp_fits_on_the_completed_prefix(self):
         rng = np.random.default_rng(8)
-        X = rng.normal(size=(40, 3))
+        corpus = make_corpus(n_clips=10, presets=("medium", "veryslow"), cqps=(22, 37),
+                             rng=rng)
+        order = random_order(corpus, rng)
+        X = feature_matrix(corpus, order)
         seconds = np.exp(rng.normal(size=40))
         params = GbrtParams(num_trees=4, max_depth=2)
-        pred = Forecast("CXP", 40, rows=X, model=params).at(seconds[:15])
+        pred = Forecast("CXP", corpus, order, model=params).at(seconds[:15])
         # boundaries ceil(40/50) * 2**j = 1, 2, 4, 8: four trees on the first
         # row, then ceil(4/6) = 1 tree on 2, 4 and 8 rows and on all 15
         y = np.log(seconds[:15])
@@ -190,39 +217,31 @@ class TestPredictRemaining:
         assert model_to_dict(pred.model) == model_to_dict(model)
 
     def test_fitted_model_used_as_is(self):
-        model = constant_model(math.log(2.0), num_features=2)
-        pred = Forecast("GXP", 3, rows=np.zeros((3, 2)), model=model).at([])
+        model = constant_model(math.log(2.0), num_features=9)
+        pred = Forecast("GXP", *one_task_per_clip(3), model=model).at([])
         assert pred.c == 0.0
         assert pred.t_hat.tolist() == pytest.approx([2.0] * 3, rel=1e-15)
         assert pred.model is model
 
     @pytest.mark.parametrize("system, completed, kwargs, message", [
-        ("CP", [1.0], {}, "CP needs the tasks' cluster labels"),
-        ("XP", [1.0], {"model": GbrtParams()}, "XP needs the tasks' feature rows"),
-        ("XP", [], {"rows": np.zeros((3, 2)), "model": GbrtParams()},
-         "XP needs at least one completed task"),
-        ("GXP", [1.0], {"rows": np.zeros((3, 2)), "model": GbrtParams()},
-         "GXP needs a trained model"),
+        ("CP", [1.0], {}, "CP needs a cluster assignment"),
+        ("XP", [1.0], {}, "XP needs a trained model"),
+        ("XP", [], {"model": GbrtParams()}, "XP needs at least one completed task"),
+        ("GXP", [1.0], {"model": GbrtParams()}, "GXP needs a trained model"),
         ("QQ", [1.0], {}, "unknown system"),
     ])
     def test_missing_inputs_rejected(self, system, completed, kwargs, message):
         with pytest.raises(ValidationError, match=message):
-            Forecast(system, 3, **kwargs).at(completed)
+            Forecast(system, *one_task_per_clip(3), **kwargs).at(completed)
 
-    @pytest.mark.parametrize("num_labels", [5, 12])
-    def test_cp_labels_must_cover_every_task(self, num_labels):
-        labels = [0, 1] * (num_labels // 2) + [0] * (num_labels % 2)
-        with pytest.raises(ValidationError,
-                           match=f"one cluster label per task: got {num_labels} for 10"):
-            Forecast("CP", 10, labels=labels)
-
-    def test_rows_must_cover_every_task(self):
-        with pytest.raises(ValidationError, match="one feature row per task: got 10 for 5"):
-            Forecast("XP", 5, rows=np.zeros((10, 2)), model=GbrtParams(num_trees=2, max_depth=1))
-
-    def test_negative_cluster_label_rejected(self):
-        with pytest.raises(ValidationError, match="cluster labels must be >= 0, got -1"):
-            Forecast("CP", 4, labels=[0, -1, 0, 1])
+    @pytest.mark.parametrize("system, kwargs", [
+        ("CP", {"assignment": assignment_for({"clip000": 0, "clip001": 0}, 1)}),
+        ("XP", {"model": GbrtParams()}),
+    ])
+    def test_unknown_task_id_rejected(self, system, kwargs):
+        corpus, ids = one_task_per_clip(2)
+        with pytest.raises(ValidationError, match="unknown task_id 'clip009:x264:medium:22'"):
+            Forecast(system, corpus, [ids[0], "clip009:x264:medium:22", ids[1]], **kwargs)
 
 
 class TestRefitSchedule:
@@ -249,34 +268,49 @@ class TestRefitSchedule:
     @pytest.mark.parametrize("n", [1, 7, 8])
     def test_up_to_the_first_boundary_it_is_one_fit(self, n):
         rng = np.random.default_rng(n)
-        X = rng.normal(size=(400, 3))
+        corpus = make_corpus(n_clips=100, presets=("medium", "veryslow"), cqps=(22, 37),
+                             rng=rng)
+        order = random_order(corpus, rng)
+        X = feature_matrix(corpus, order)
         seconds = np.exp(rng.normal(size=400))
         params = GbrtParams(num_trees=5, max_depth=3)
-        pred = Forecast("XP", 400, rows=X, model=params).at(seconds[:n])
+        pred = Forecast("XP", corpus, order, model=params).at(seconds[:n])
         model = train(X[:n], np.log(seconds[:n]), params)
         assert model_to_dict(pred.model) == model_to_dict(model)
         assert np.array_equal(pred.t_hat, np.exp(predict(model, X[n:])))
 
 
+def few_level_corpus():
+    """20 clips on 8 distinct feature values, so equal feature rows occur: 240 tasks."""
+    clips = [make_clip(clip_id=f"clip{i:02d}", width=(1280, 1920)[i % 2],
+                       height=(720, 1080)[i % 2], num_frames=(60, 120)[i // 2 % 2],
+                       E=(10.0, 40.0)[i // 4 % 2]) for i in range(20)]
+    tasks = expand_tasks(clips, ("x264",))
+    return Corpus(clips=tuple(clips), tasks=tuple(tasks))
+
+
+FEW_LEVELS = few_level_corpus()
+
+
 @st.composite
 def staged_cases(draw):
-    """A processing order of 20-240 tasks, its times and a small GBRT."""
+    """A processing order of 20-240 of FEW_LEVELS's tasks, their times and a small GBRT."""
     total = draw(st.integers(20, 240))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # few levels, so equal rows and equal times occur
-    X = rng.integers(0, 4, size=(total, 3)).astype(np.float64)
+    order = random_order(FEW_LEVELS, rng, total)
+    # few levels, so equal times occur too
     seconds = np.exp(rng.integers(0, 6, size=total) / 2.0)
     params = GbrtParams(num_trees=draw(st.integers(1, 8)), max_depth=draw(st.integers(1, 3)),
                         learning_rate=draw(st.sampled_from([0.35, 1.0])),
                         min_samples_leaf=draw(st.integers(1, 3)))
-    return X, seconds, params, rng
+    return order, seconds, params, rng
 
 
 class TestStagedRefit:
     @settings(max_examples=40, deadline=None)
     @given(staged_cases(), st.data())
     def test_stages_bit_identical_under_permutations_inside_each_stage(self, case, data):
-        X, seconds, params, rng = case
+        order, seconds, params, rng = case
         total = len(seconds)
         n = data.draw(st.integers(1, total - 1))
         perm = np.arange(total)
@@ -285,22 +319,23 @@ class TestStagedRefit:
             perm[start:end] = start + rng.permutation(end - start)
             start = end
         perm[n:] = n + rng.permutation(total - n)
-        want = Forecast("XP", total, rows=X, model=params).at(seconds[:n])
-        got = Forecast("XP", total, rows=X[perm], model=params).at(seconds[perm[:n]])
+        want = Forecast("XP", FEW_LEVELS, order, model=params).at(seconds[:n])
+        got = Forecast("XP", FEW_LEVELS, [order[i] for i in perm],
+                       model=params).at(seconds[perm[:n]])
         assert model_to_dict(got.model) == model_to_dict(want.model)
         assert got.T_hat == want.T_hat
 
     @settings(max_examples=30, deadline=None)
     @given(staged_cases(), st.data())
     def test_cached_stages_equal_a_fresh_fit_at_every_c(self, case, data):
-        X, seconds, params, _ = case
+        order, seconds, params, _ = case
         total = len(seconds)
         # any order, repeats included: a call on fewer tasks than the last refits
         counts = data.draw(st.lists(st.integers(1, total - 1), min_size=1, max_size=8))
-        forecast = Forecast("CXP", total, rows=X, model=params)
+        forecast = Forecast("CXP", FEW_LEVELS, order, model=params)
         for n in counts:
             got = forecast.at(seconds[:n])
-            fresh = Forecast("CXP", total, rows=X, model=params).at(seconds[:n])
+            fresh = Forecast("CXP", FEW_LEVELS, order, model=params).at(seconds[:n])
             assert model_to_dict(got.model) == model_to_dict(fresh.model)
             assert np.array_equal(got.t_hat, fresh.t_hat)
             assert got.T_hat == fresh.T_hat
@@ -319,8 +354,8 @@ class TestStagedRefit:
         monkeypatch.setattr(predictors, "train", counted_train)
         monkeypatch.setattr(predictors, "add_stage", counted_add_stage)
         rng = np.random.default_rng(5)
-        X, seconds = rng.normal(size=(200, 3)), np.exp(rng.normal(size=200))
-        forecast = Forecast("XP", 200, rows=X, model=GbrtParams(num_trees=6, max_depth=2))
+        order, seconds = random_order(FEW_LEVELS, rng, 200), np.exp(rng.normal(size=200))
+        forecast = Forecast("XP", FEW_LEVELS, order, model=GbrtParams(num_trees=6, max_depth=2))
 
         def fitted_at(n):
             fits.clear()
@@ -346,14 +381,14 @@ class TestFittedModelCache:
     @settings(max_examples=30, deadline=None)
     @given(staged_cases(), st.data())
     def test_cached_output_equals_a_fresh_prediction(self, case, data):
-        X, seconds, params, _ = case
+        order, seconds, params, _ = case
         total = len(seconds)
-        model = train(X, np.log(seconds), params)
+        model = train(feature_matrix(FEW_LEVELS, order), np.log(seconds), params)
         counts = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=8))
-        forecast = Forecast("GXP", total, rows=X, model=model)
+        forecast = Forecast("GXP", FEW_LEVELS, order, model=model)
         for n in counts:
             got = forecast.at(seconds[:n])
-            fresh = Forecast("GXP", total, rows=X, model=model).at(seconds[:n])
+            fresh = Forecast("GXP", FEW_LEVELS, order, model=model).at(seconds[:n])
             assert model_to_dict(got.model) == model_to_dict(fresh.model)
             assert np.array_equal(got.t_hat, fresh.t_hat)
             assert got.T_hat == fresh.T_hat
@@ -521,6 +556,15 @@ class TestCascade:
     def test_bounds_must_increase(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
             CascadePolicy(((0.5, "BP"), (0.5, "CP"), (1.0, "CP")))
+
+    @pytest.mark.parametrize("thresholds", [
+        ((0.0, "GXP"), (math.nan, "CXP"), (1.0, "CP")),
+        ((-0.5, "GXP"), (1.0, "CP")),
+        ((-math.inf, "BP"), (1.0, "CP")),
+    ])
+    def test_bounds_must_be_finite_and_non_negative(self, thresholds):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            CascadePolicy(thresholds)
 
     def test_bounds_must_end_at_one(self):
         with pytest.raises(ValidationError, match="end at 1.0"):
