@@ -58,7 +58,7 @@ def main():
     print(f"  {'system':<6}{header}")
     for system in ("BP", "CP", "XP", "CXP"):
         result = run_realization(corpus, system, seed=99, c_grid=grid,
-                                 assignment=assignment, gbrt_params=params)
+                                 assignment=assignment, model=params)
         cells = "".join(f"{result.per_c[c].sape:9.2f}" for c in grid)
         print(f"  {system:<6}{cells}")
 

@@ -42,8 +42,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _fraction(clip_args) -> Fraction:
-    return Fraction(clip_args.framerate_num, clip_args.framerate_den)
+def _seed(text: str) -> int:
+    """argparse type of the seed flags: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _gbrt_params(args) -> GbrtParams:
@@ -90,9 +94,14 @@ def _infer_num_frames(path, width: int, height: int) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # checked before any frame is read, so a bad request costs no DCT work
+    if args.width < 1 or args.height < 1:
+        raise ValidationError(f"frame size must be positive, got {args.width}x{args.height}")
+    if args.framerate_num < 1 or args.framerate_den < 1:
+        raise ValidationError(f"framerate must be positive, got "
+                              f"{args.framerate_num}/{args.framerate_den}")
     existing: list[Clip] = []
     if args.features_out is not None:
-        # checked before any frame is read, so a bad request costs no DCT work
         if args.clip_id is None:
             raise ValidationError("--clip-id is required with --features-out")
         if (args.append and os.path.exists(args.features_out)
@@ -115,9 +124,9 @@ def cmd_analyze(args) -> int:
 
     if args.features_out is not None:
         clip = Clip(clip_id=args.clip_id, width=args.width, height=args.height,
-                    framerate=_fraction(args), num_frames=num_frames,
-                    E=clip_stats.E, h=clip_stats.h, luma=clip_stats.luma,
-                    source_group=args.source_group)
+                    framerate=Fraction(args.framerate_num, args.framerate_den),
+                    num_frames=num_frames, E=clip_stats.E, h=clip_stats.h,
+                    luma=clip_stats.luma, source_group=args.source_group)
         corpus_mod.save_features_csv(args.features_out, existing + [clip])
         print(f"wrote clip features to {args.features_out}")
     return 0
@@ -327,7 +336,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="k-means over standardized clip features")
     p.add_argument("--features", required=True)
     p.add_argument("--k", type=int, default=DEFAULT_K, help="clusters (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="centroid seeding (default %(default)s)")
+    p.add_argument("--seed", type=_seed, default=0, help="centroid seeding (default %(default)s)")
     p.add_argument("--out", required=True, help="clip_id,cluster CSV")
     p.add_argument("--centroids-out", default=None)
     p.set_defaults(func=cmd_cluster)
@@ -366,14 +375,14 @@ def build_parser() -> _Parser:
                    help="lognormal time noise (default %(default)s)")
     p.add_argument("--num-groups", type=int, default=spec.num_groups,
                    help="synthetic source groups (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="corpus generation seed (default %(default)s)")
     p.add_argument("--systems", nargs="+", default=sweep.systems,
                    help="subset of BP,CP,XP,CXP,GXP; commas or repeats both work "
                         f"(default {','.join(sweep.systems)})")
     p.add_argument("--realisations", type=int, default=sweep.num_realisations,
                    help="replay orders per system (default %(default)s)")
-    p.add_argument("--base-seed", type=int, default=sweep.base_seed,
+    p.add_argument("--base-seed", type=_seed, default=sweep.base_seed,
                    help="ordering seed for realisation 0 (default %(default)s)")
     grid = sweep.c_grid
     p.add_argument("--c-grid", type=float, nargs="+", default=grid,
@@ -404,7 +413,7 @@ def build_parser() -> _Parser:
                    help="YAML file with the cascade policy (bounds and systems)")
     p.add_argument("--k", type=int, default=DEFAULT_K,
                    help="clusters for CP (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="clustering seed (default %(default)s)")
+    p.add_argument("--seed", type=_seed, default=0, help="clustering seed (default %(default)s)")
     _add_gbrt_flags(p)
     p.add_argument("--model-in", default=None, help="load a trained model (JSON)")
     p.add_argument("--model-out", default=None, help="save the trained model (JSON)")

@@ -422,6 +422,8 @@ def _check_tree(k: int, tree: RegressionTree, num_features: int) -> None:
 
 def model_from_dict(doc: dict) -> GbrtModel:
     """Build a model from its JSON document; reject any structurally invalid one."""
+    if not isinstance(doc, dict):
+        raise ValidationError("malformed model document: not a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ValidationError(f"not a {MODEL_FORMAT} document")
     version = doc.get("version")

@@ -168,26 +168,24 @@ class RealizationResult:
 def run_realization(corpus: Corpus, system: str, seed: int,
                     c_grid: Sequence[float] = DEFAULT_C_GRID, *,
                     assignment: ClusterAssignment | None = None,
-                    gbrt_params: GbrtParams = GbrtParams(),
-                    gxp_model: GbrtModel | None = None,
+                    model: GbrtModel | GbrtParams = GbrtParams(),
                     gxp_test_ids: Sequence[str] | None = None) -> RealizationResult:
     """Score one system over one seeded processing order.
 
     BP/CP/XP draw a uniform random order over all tasks; CXP uses its
-    cluster-stratified order; GXP shuffles only the held-out tasks and uses
-    the model trained once on the rest.
+    cluster-stratified order; GXP shuffles only the held-out tasks. ``model``
+    is what XP and CXP fit with, or GXP's model trained once on the rest.
     """
     if system == "CXP" and assignment is None:
         raise ValidationError("CXP needs a cluster assignment")
-    if system == "GXP" and (gxp_model is None or gxp_test_ids is None):
-        raise ValidationError("GXP needs a pre-trained model and the held-out task ids")
+    if system == "GXP" and gxp_test_ids is None:
+        raise ValidationError("GXP needs the held-out task ids")
 
     if system == "CXP":
         order = cxp_order(corpus, assignment, seed)
     else:
         pool = gxp_test_ids if system == "GXP" else [t.task_id for t in corpus.tasks]
         order = [pool[i] for i in np.random.default_rng(seed).permutation(len(pool))]
-    model = gxp_model if system == "GXP" else gbrt_params
 
     # one Forecast walks the grid, so each c-point starts from the work of the
     # last: XP and CXP's fitted stages, GXP's output on every held-out task
@@ -262,7 +260,8 @@ def _train_job(context, rows: np.ndarray, targets: np.ndarray) -> GbrtModel:
 
 def _realisation_job(context, system: str, seed: int, inputs: dict) -> RealizationResult:
     corpus, c_grid, gbrt_params = context
-    return run_realization(corpus, system, seed, c_grid, gbrt_params=gbrt_params, **inputs)
+    inputs = {"model": gbrt_params, **inputs}  # GXP's inputs carry its trained model
+    return run_realization(corpus, system, seed, c_grid, **inputs)
 
 
 def _worker_count(jobs: int | None, n_jobs: int) -> int:
@@ -335,7 +334,7 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
             assignment = clusters.result()
         queue(("CXP", "CP"), {"assignment": assignment})
         if model is not None:
-            queue(("GXP",), {"gxp_model": model.result(), "gxp_test_ids": split.test_ids})
+            queue(("GXP",), {"model": model.result(), "gxp_test_ids": split.test_ids})
         results = [futures[(system, seed)].result()
                    for system in config.systems for seed in seeds]
     finally:

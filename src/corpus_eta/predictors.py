@@ -1,9 +1,11 @@
 """The five prediction systems and the completion-ratio cascade.
 
 BP and CP are statistical baselines built on running averages (globally and
-per cluster).  XP and CXP wrap the boosted-tree model: per-task predictions
-are exp() of the model output and the aggregate is their sum; CXP differs
-from XP only in that the corpus is processed in cluster-stratified order.
+per cluster); each is one function from the completed times to the whole
+prediction, per queued task and in aggregate.  XP and CXP wrap the
+boosted-tree model: per-task predictions are exp() of the model output and
+the aggregate is their sum; CXP differs from XP only in that the corpus is
+processed in cluster-stratified order.
 GXP is the generalised variant, trained once on held-out source groups
 instead of online.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,16 +41,15 @@ SYSTEMS = ("BP", "CP", "XP", "CXP", "GXP")
 class AggregatePrediction:
     system: str
     c: float
-    t_hat: np.ndarray | None        # seconds per queued task, in processing order
+    t_hat: np.ndarray               # seconds per queued task, in processing order
     T_hat: float                    # predicted seconds for the remaining fraction
-    t_bar: float | None = None                   # BP: the global mean
-    cluster_means: dict[int, float] | None = None  # CP: per-cluster means
-    model: GbrtModel | None = None               # XP, CXP, GXP: the model used
+    t_bar: float | None = None      # BP: the mean completed time
+    model: GbrtModel | None = None  # XP, CXP, GXP: the model used
 
 
-def _mean(times: Sequence[float]) -> float:
+def _mean(times: np.ndarray) -> float:
     # fsum: exact, so the value is independent of summation order.
-    return math.fsum(times) / len(times)
+    return math.fsum(times.tolist()) / times.size
 
 
 def bp_predict(completed_times: Sequence[float], total_tasks: int) -> AggregatePrediction:
@@ -58,49 +59,43 @@ def bp_predict(completed_times: Sequence[float], total_tasks: int) -> AggregateP
     written so that the per-cluster variant with a single cluster reproduces
     it bit-for-bit.
     """
-    n = len(completed_times)
+    seconds = np.asarray(completed_times, dtype=np.float64)
+    n = seconds.size
     if n == 0:
         raise PredictionError("BP undefined at c=0")
     if n >= total_tasks:
         raise PredictionError("nothing remaining to predict")
     c = n / total_tasks
-    t_bar = _mean(completed_times)
-    T_hat = (1.0 - c) * (total_tasks * t_bar)
-    return AggregatePrediction(system="BP", c=c, t_hat=None, T_hat=T_hat, t_bar=t_bar)
+    t_bar = _mean(seconds)
+    return AggregatePrediction(system="BP", c=c, t_hat=np.full(total_tasks - n, t_bar),
+                               T_hat=(1.0 - c) * (total_tasks * t_bar), t_bar=t_bar)
 
 
-def cp_predict(completed_by_cluster: Mapping[int, Sequence[float]],
-               cluster_task_counts, total_tasks: int) -> AggregatePrediction:
+def cp_predict(labels: Sequence[int], completed_times: Sequence[float]) -> AggregatePrediction:
     """Per-cluster running averages, aggregated as (1 - c) * sum_j M_j * mean_j.
 
-    A cluster with no completed task yet falls back to the global mean of all
-    completed times.
+    ``labels`` holds every task's cluster in processing order, so N is its
+    length and M_j the number of tasks in cluster j; the first n tasks have
+    completed in ``completed_times``. A cluster with no completed task yet
+    falls back to the global mean of all completed times.
     """
-    counts = np.asarray(cluster_task_counts, dtype=np.int64)
-    k = counts.shape[0]
-    all_times: list[float] = []
-    for j, times in completed_by_cluster.items():
-        if not 0 <= j < k:
-            raise ValidationError(f"cluster index {j} out of range for k={k}")
-        all_times.extend(times)
-    n = len(all_times)
+    labels = np.asarray(labels)
+    seconds = np.asarray(completed_times, dtype=np.float64)
+    n, N = seconds.size, labels.size
+    if np.any(labels < 0):
+        raise ValidationError(f"cluster labels must be >= 0, got {labels.min()}")
     if n == 0:
         raise PredictionError("CP undefined: no completed tasks in any cluster")
-    if n >= total_tasks:
+    if n >= N:
         raise PredictionError("nothing remaining to predict")
-    c = n / total_tasks
-    global_mean = _mean(all_times)
-
-    cluster_mean: dict[int, float] = {}
-    for j in range(k):
-        times = completed_by_cluster.get(j)
-        has_any = times is not None and len(times) > 0
-        cluster_mean[j] = _mean(times) if has_any else global_mean
-
-    weighted = math.fsum(int(counts[j]) * cluster_mean[j] for j in range(k))
-    T_hat = (1.0 - c) * weighted
-    return AggregatePrediction(system="CP", c=c, t_hat=None, T_hat=T_hat,
-                               cluster_means=dict(cluster_mean))
+    c = n / N
+    counts = np.bincount(labels)
+    means = np.full(counts.size, _mean(seconds))
+    done = labels[:n]
+    for j in set(done.tolist()):
+        means[j] = _mean(seconds[done == j])
+    T_hat = (1.0 - c) * math.fsum((counts * means).tolist())
+    return AggregatePrediction(system="CP", c=c, t_hat=means[labels[n:]], T_hat=T_hat)
 
 
 def xp_predict(model: GbrtModel, remaining: Mapping[str, Sequence[float]],
@@ -180,7 +175,6 @@ class Forecast:
             if assignment is None:
                 raise ValidationError("CP needs a cluster assignment")
             self._labels = task_labels(assignment, tasks)
-            self._counts = np.bincount(self._labels)
         elif system != "BP":
             fitted = isinstance(model, GbrtModel)
             if not fitted and (not isinstance(model, GbrtParams) or system == "GXP"):
@@ -195,20 +189,14 @@ class Forecast:
 
         ``completed`` holds those tasks' seconds, in the order they completed;
         the calls on one Forecast share that order, so the first seconds of a
-        longer call are a shorter call's. ``t_hat`` is set for every system.
+        longer call are a shorter call's.
         """
+        if self.system == "BP":
+            return bp_predict(completed, self.total_tasks)
+        if self.system == "CP":
+            return cp_predict(self._labels, completed)
         seconds = np.asarray(completed, dtype=np.float64)
         n, N = seconds.size, self.total_tasks
-        if self.system == "BP":
-            res = bp_predict(seconds.tolist(), N)
-            return replace(res, t_hat=np.full(N - n, res.t_bar))
-        if self.system == "CP":
-            by_cluster: dict[int, list[float]] = {}
-            for j, sec in zip(self._labels[:n].tolist(), seconds.tolist()):
-                by_cluster.setdefault(j, []).append(sec)
-            res = cp_predict(by_cluster, self._counts, N)
-            means = np.asarray([res.cluster_means[j] for j in range(self._counts.size)])
-            return replace(res, t_hat=means[self._labels[n:]])
         if n >= N:
             raise PredictionError("nothing remaining to predict")
         if self._output is not None:

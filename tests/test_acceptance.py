@@ -89,7 +89,7 @@ def test_01_oracle_equivalence(capsys):
             means = {j: math.fsum(v) / len(v) if v else t_bar
                      for j, v in by_cluster.items()}
             want_cp = scale * math.fsum(counts[j] * means[j] for j in range(k))
-            assert close(cp_predict(by_cluster, counts, total).T_hat, want_cp, 1e-12)
+            assert close(cp_predict(labels, completed).T_hat, want_cp, 1e-12)
 
             X = rng.uniform(0.0, 10.0, size=(total, 3))
             model = train(X[:n_done], np.log(completed), GbrtParams(3, 2, 0.5, 1))
@@ -122,9 +122,10 @@ def test_02_single_cluster_reduces_to_global_mean(capsys):
             n_done = int(rng.integers(1, total))
             times = rng.uniform(0.1, 30.0, size=total)
             bp = bp_predict(times[:n_done], total)
-            cp = cp_predict({0: times[:n_done]}, [total], total)
+            cp = cp_predict([0] * total, times[:n_done])
             assert cp.T_hat == bp.T_hat
             assert cp.c == bp.c
+            assert cp.t_hat.tolist() == bp.t_hat.tolist()
 
 
 def test_03_gbrt_soundness(capsys):

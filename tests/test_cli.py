@@ -71,6 +71,14 @@ class TestUsageErrors:
          "--num-frames", "2"],
         ["encode", "--features", "f.csv", "--input-dir", "in", "--template", "true",
          "--out", "t.csv", "--scratch", "s", "--jobs", "2"],
+        # numpy's generators take no negative seed
+        ["cluster", "--features", "f.csv", "--out", "o.csv", "--seed", "-1"],
+        ["simulate", "--synthetic", "--report-out", "r.csv", "--seed", "-3"],
+        ["simulate", "--synthetic", "--report-out", "r.csv", "--base-seed", "-3",
+         "--jobs", "1"],
+        ["simulate", "--synthetic", "--report-out", "r.csv", "--base-seed", "-3",
+         "--jobs", "2"],
+        ["predict", "--features", "f.csv", "--system", "CP", "--seed", "-1"],
     ])
     def test_usage_problems_exit_64(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -199,6 +207,25 @@ class TestAnalyze:
         rc = main(base + ["--clip-id", "a", "--append"])
         assert rc == 1
         assert "already present" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--width", "0"], "frame size must be positive, got 0x32"),
+        (["--height", "0"], "frame size must be positive, got 32x0"),
+        (["--framerate-den", "0"], "framerate must be positive, got 30/0"),
+        (["--framerate-num", "-30"], "framerate must be positive, got -30/1"),
+    ])
+    def test_bad_geometry_or_framerate_exits_1_before_reading(self, flags, message, tmp_path,
+                                                              capsys, monkeypatch):
+        yuv = tmp_path / "clip.yuv"
+        write_yuv(yuv, [np.full((32, 32), 90, dtype=np.uint8)])
+        monkeypatch.setattr(complexity, "analyze_yuv", no_frames_read)
+        # the last of a repeated flag wins
+        rc = main(["analyze", "--yuv", str(yuv), "--width", "32", "--height", "32",
+                   "--clip-id", "a", "--features-out", str(tmp_path / "f.csv"), *flags])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+        assert not (tmp_path / "f.csv").exists()
 
     def test_features_out_requires_clip_id(self, tmp_path, capsys, monkeypatch):
         yuv = tmp_path / "clip.yuv"
@@ -721,7 +748,7 @@ class TestChainedPredictMatchesSweep:
         assignment = cluster_clips(corpus.clips, k=3, seed=seed)
         params = GbrtParams(num_trees=8, max_depth=3, learning_rate=0.3, min_samples_leaf=2)
         graded = harness.run_realization(corpus, system, seed, self.GRID,
-                                         assignment=assignment, gbrt_params=params).per_c
+                                         assignment=assignment, model=params).per_c
         if system == "CXP":
             order = cxp_order(corpus, assignment, seed)
         else:

@@ -659,6 +659,13 @@ class TestModelValidationOnLoad:
         with pytest.raises(ValidationError, match="malformed model"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("text", ["null", "[1, 2]", '"x"', "3"])
+    def test_document_that_is_not_an_object_rejected(self, text, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="malformed model document: not a JSON object"):
+            load_model(path)
+
 class TestValidation:
     @pytest.mark.parametrize("kwargs,msg", [
         (dict(num_trees=-1), "num_trees"),

@@ -182,17 +182,15 @@ class TestRunRealization:
         assignment = cluster_clips(corpus.clips, k=2, seed=0)
         for system in ("CP", "CXP"):
             res = run_realization(corpus, system, seed=2, c_grid=(0.25,),
-                                  assignment=assignment,
-                                  gbrt_params=SMALL_GBRT)
+                                  assignment=assignment, model=SMALL_GBRT)
             assert res.system == system
             assert res.per_c[0.25].n == 36
 
     def test_xp_runs_and_improves_with_information(self):
         corpus = synth_corpus(SynthSpec(n_clips=10, sigma=0.0), seed=8)
         res = run_realization(corpus, "XP", seed=3, c_grid=(0.05, 0.6),
-                              gbrt_params=GbrtParams(num_trees=30, max_depth=3,
-                                                     learning_rate=0.2,
-                                                     min_samples_leaf=2))
+                              model=GbrtParams(num_trees=30, max_depth=3,
+                                               learning_rate=0.2, min_samples_leaf=2))
         assert res.per_c[0.6].mape < res.per_c[0.05].mape
 
     def test_gxp_scores_only_held_out_tasks(self):
@@ -202,15 +200,18 @@ class TestRunRealization:
         split = gxp_train_split(corpus, ["g1"])
         model = train(split.train_rows, split.train_targets, SMALL_GBRT)
         res = run_realization(corpus, "GXP", seed=0, c_grid=(0.0, 0.5),
-                              gxp_model=model, gxp_test_ids=split.test_ids)
+                              model=model, gxp_test_ids=split.test_ids)
         n_test = len(split.test_ids)
         assert res.per_c[0.0].n == n_test
         assert res.per_c[0.5].n == n_test - n_test // 2
 
     def test_gxp_needs_model_and_ids(self):
         corpus = tiny_corpus(n_clips=2)
-        with pytest.raises(ValidationError, match="pre-trained model"):
+        with pytest.raises(ValidationError, match="held-out task ids"):
             run_realization(corpus, "GXP", seed=0, c_grid=(0.5,))
+        ids = [t.task_id for t in corpus.tasks]
+        with pytest.raises(ValidationError, match="GXP needs a trained model"):
+            run_realization(corpus, "GXP", seed=0, c_grid=(0.5,), gxp_test_ids=ids)
 
     def test_unknown_system_rejected(self):
         corpus = tiny_corpus(n_clips=2)

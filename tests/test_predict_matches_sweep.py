@@ -47,23 +47,23 @@ def processing_order(corpus, system, assignment, test_ids):
 def test_per_task_predictions_score_the_sweep_metrics(system, corpus, tmp_path):
     assignment = cluster_clips(corpus.clips, k=K, seed=SEED)
     argv = ["--system", system, "--k", str(K), "--seed", str(SEED), *GBRT_ARGS]
-    gxp = {}
+    inputs = {"model": PARAMS}
     clips = corpus.clips
     if system == "GXP":
         split = gxp_train_split(corpus, TEST_GROUPS)
         model = train(split.train_rows, split.train_targets, PARAMS)
         save_model(tmp_path / "model.json", model)
         argv += ["--model-in", str(tmp_path / "model.json")]
-        gxp = {"gxp_model": model, "gxp_test_ids": split.test_ids}
+        inputs = {"model": model, "gxp_test_ids": split.test_ids}
         clips = [c for c in clips if c.source_group in TEST_GROUPS]
 
     # GXP's c = 0.0 point leaves its output on every task in the cache, which
     # the graded point then slices
     grid = (0.0, C) if system == "GXP" else (C,)
     graded = run_realization(corpus, system, SEED, grid, assignment=assignment,
-                             gbrt_params=PARAMS, **gxp).per_c[C]
+                             **inputs).per_c[C]
 
-    order = processing_order(corpus, system, assignment, gxp.get("gxp_test_ids"))
+    order = processing_order(corpus, system, assignment, inputs.get("gxp_test_ids"))
     n = math.floor(C * len(order))
     save_features_csv(tmp_path / "features.csv", clips)
     save_times_csv(tmp_path / "times.csv", {t: corpus.times[t] for t in order[:n]})

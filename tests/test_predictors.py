@@ -64,7 +64,7 @@ class TestBp:
     def test_single_completed_task(self):
         pred = bp_predict([5.0], 2)
         assert pred.T_hat == 5.0
-        assert pred.t_hat is None
+        assert pred.t_hat.tolist() == [5.0]
         assert Forecast("BP", *one_task_per_clip(2)).at([5.0]).t_hat.tolist() == [5.0]
 
     def test_constant_times_scale_with_remaining_count(self):
@@ -97,17 +97,17 @@ class TestBp:
 
 class TestCp:
     def test_two_cluster_hand_case(self):
-        pred = cp_predict({0: [2.0] * 5, 1: [10.0] * 5}, [10, 10], 20)
+        pred = cp_predict([0, 1] * 10, [2.0, 10.0] * 5)
         assert pred.system == "CP"
         assert pred.c == 0.5
-        assert pred.cluster_means == {0: 2.0, 1: 10.0}
+        assert pred.t_hat.tolist() == [2.0, 10.0] * 5
         assert pred.T_hat == 60.0
 
     def test_empty_cluster_falls_back_to_global_mean(self):
-        pred = cp_predict({0: [2.0, 6.0]}, [5, 5], 10)
-        assert pred.cluster_means == {0: 4.0, 1: 4.0}
+        pred = cp_predict([0] * 5 + [1] * 5, [2.0, 6.0])
+        assert pred.t_hat.tolist() == [4.0] * 8
         assert pred.T_hat == pytest.approx(32.0, rel=1e-12)
-        fallback_part = (1.0 - pred.c) * 5 * pred.cluster_means[1]
+        fallback_part = (1.0 - pred.c) * 5 * pred.t_hat[-1]
         assert fallback_part == pytest.approx(16.0, rel=1e-12)
 
     def test_single_cluster_reduces_to_bp_bitwise(self):
@@ -128,29 +128,47 @@ class TestCp:
     def test_per_task_values_follow_cluster_membership(self):
         # completed: labels 0, 1, 1; queued: labels 0, 1, 1
         corpus, ids = one_task_per_clip(6)
-        assignment = clip_labels(corpus, [0, 1, 1, 0, 1, 1], 2)
+        labels = [0, 1, 1, 0, 1, 1]
+        assignment = clip_labels(corpus, labels, 2)
         pred = Forecast("CP", corpus, ids, assignment=assignment).at([1.0, 9.0, 11.0])
         assert pred.t_hat.tolist() == [1.0, 10.0, 10.0]
-        assert pred.T_hat == cp_predict({0: [1.0], 1: [9.0, 11.0]}, [2, 4], 6).T_hat
+        assert pred.T_hat == cp_predict(labels, [1.0, 9.0, 11.0]).T_hat
 
     def test_weighting_uses_task_counts_not_completions(self):
         # same completions, shifted counts -> different aggregate
-        base = cp_predict({0: [2.0], 1: [10.0]}, [6, 2], 10).T_hat
-        other = cp_predict({0: [2.0], 1: [10.0]}, [2, 6], 10).T_hat
-        assert base == pytest.approx((1 - 0.2) * (6 * 2.0 + 2 * 10.0), rel=1e-12)
-        assert other == pytest.approx((1 - 0.2) * (2 * 2.0 + 6 * 10.0), rel=1e-12)
+        base = cp_predict([0, 1] + [0] * 5 + [1] * 3, [2.0, 10.0]).T_hat
+        other = cp_predict([0, 1] + [0] * 3 + [1] * 5, [2.0, 10.0]).T_hat
+        assert base == pytest.approx((1 - 0.2) * (6 * 2.0 + 4 * 10.0), rel=1e-12)
+        assert other == pytest.approx((1 - 0.2) * (4 * 2.0 + 6 * 10.0), rel=1e-12)
 
     def test_out_of_range_cluster_rejected(self):
-        with pytest.raises(ValidationError, match="out of range for k=2"):
-            cp_predict({2: [1.0]}, [1, 1], 4)
+        with pytest.raises(ValidationError, match="cluster labels must be >= 0, got -1"):
+            cp_predict([0, -1, 1, 0], [1.0])
 
     def test_no_completions_rejected(self):
         with pytest.raises(PredictionError, match="CP undefined"):
-            cp_predict({0: []}, [4], 4)
+            cp_predict([0] * 4, [])
 
     def test_full_completion_rejected(self):
         with pytest.raises(PredictionError, match="nothing remaining"):
-            cp_predict({0: [1.0, 1.0]}, [2], 2)
+            cp_predict([0, 0], [1.0, 1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_a_brute_force_oracle(self, data):
+        total = data.draw(st.integers(2, 40))
+        labels = data.draw(st.lists(st.integers(0, 5), min_size=total, max_size=total))
+        n = data.draw(st.integers(1, total - 1))
+        times = data.draw(st.lists(st.floats(0.01, 1e4), min_size=n, max_size=n))
+        global_mean = math.fsum(times) / n
+        means = {}
+        for j in set(labels):
+            done = [t for t, label in zip(times, labels) if label == j]
+            means[j] = math.fsum(done) / len(done) if done else global_mean
+        want = (1.0 - n / total) * math.fsum(labels.count(j) * means[j] for j in means)
+        pred = cp_predict(labels, times)
+        assert pred.t_hat.tolist() == [means[j] for j in labels[n:]]
+        assert pred.T_hat == want
 
 
 class TestXp:
