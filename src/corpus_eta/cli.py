@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 when input data or arguments fail validation,
 2 when something breaks at runtime (an encode fails, a file vanishes), 64
 for malformed command lines, and 130 when interrupted (Ctrl-C).
+
+Each ``cmd_*`` function imports the modules it runs, and only the named
+subcommand's flags are built, so a short call such as ``analyze`` loads no
+sweep, trees or process pool.
 """
 
 from __future__ import annotations
@@ -13,25 +17,32 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import complexity, corpus as corpus_mod
+from . import corpus as corpus_mod
 from .clustering import DEFAULT_K, cluster_clips, save_centroids_csv, save_clusters_csv
-from .config import load_config
 from .corpus import (DEFAULT_ENCODERS, Clip, float_text, load_corpus, load_features_csv,
                      save_corpus, write_csv)
 from .errors import CorpusEtaError, ValidationError
-from .gbrt import GbrtParams, load_model, save_model
-from .harness import (SweepConfig, SynthSpec, load_report_csv, monte_carlo,
-                      synth_corpus, write_realisations_csv, write_report_csv)
-from .predictors import SYSTEMS, Forecast, cascade_select
-from .runner import CommandTemplate, batch_encode
 
-# Nothing here calls these; perfbench/tracing.py wraps them as attributes
-# of this module, so they stay importable from it.
-from .gbrt import feature_matrix, train  # noqa: F401
-from .predictors import bp_predict, cp_predict, xp_predict  # noqa: F401
+if TYPE_CHECKING:
+    from .gbrt import GbrtParams
 
 USAGE_EXIT = 64
+
+
+# Nothing here calls these; perfbench/tracing.py wraps them as attributes of
+# this module, so the first lookup of each imports it. ROADMAP item 1 deletes
+# them.
+def __getattr__(name: str):
+    if name in ("train", "feature_matrix"):
+        from . import gbrt as module
+    elif name in ("bp_predict", "cp_predict", "xp_predict"):
+        from . import predictors as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,8 +62,9 @@ def _seed(text: str) -> int:
 
 
 def _gbrt_params(args) -> GbrtParams:
-    return GbrtParams(num_trees=args.trees, max_depth=args.depth,
-                      learning_rate=args.learning_rate, min_samples_leaf=args.min_leaf)
+    from . import gbrt
+    return gbrt.GbrtParams(num_trees=args.trees, max_depth=args.depth,
+                           learning_rate=args.learning_rate, min_samples_leaf=args.min_leaf)
 
 
 def _hms(seconds: float) -> str:
@@ -94,6 +106,7 @@ def _infer_num_frames(path, width: int, height: int) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import complexity
     # checked before any frame is read, so a bad request costs no DCT work
     if args.width < 1 or args.height < 1:
         raise ValidationError(f"frame size must be positive, got {args.width}x{args.height}")
@@ -148,15 +161,16 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import runner
     corpus = load_corpus(args.features, tasks_path=args.tasks, encoders=args.encoders)
-    template = CommandTemplate(args.template)
+    template = runner.CommandTemplate(args.template)
     if (not args.resume and os.path.exists(args.out)
             and os.path.getsize(args.out) > 0):
         raise ValidationError(
             f"{args.out} already has measurements; pass --resume to continue it")
-    summary = batch_encode(corpus, template, args.input_dir, args.out,
-                           args.scratch, concurrency=args.concurrency,
-                           fail_fast=args.fail_fast, keep_output=args.keep_output)
+    summary = runner.batch_encode(corpus, template, args.input_dir, args.out,
+                                  args.scratch, concurrency=args.concurrency,
+                                  fail_fast=args.fail_fast, keep_output=args.keep_output)
     print(f"requested: {summary.requested}")
     print(f"skipped (already measured): {summary.skipped}")
     print(f"succeeded: {summary.succeeded}")
@@ -178,10 +192,12 @@ def _split_labels(values) -> tuple[str, ...]:
 
 
 def cmd_simulate(args) -> int:
+    from . import harness
     if args.synthetic:
-        spec = SynthSpec(n_clips=args.n_clips, encoders=tuple(args.encoders or SynthSpec.encoders),
-                         sigma=args.sigma, num_groups=args.num_groups)
-        corpus = synth_corpus(spec, seed=args.seed)
+        spec = harness.SynthSpec(n_clips=args.n_clips,
+                                 encoders=tuple(args.encoders or harness.SynthSpec.encoders),
+                                 sigma=args.sigma, num_groups=args.num_groups)
+        corpus = harness.synth_corpus(spec, seed=args.seed)
     else:
         if args.features is None or args.times is None:
             raise ValidationError(
@@ -197,7 +213,7 @@ def cmd_simulate(args) -> int:
                        ("--realisations-out", args.realisations_out)):
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValidationError(f"{flag}: directory of {path} does not exist")
-    sweep = SweepConfig(
+    sweep = harness.SweepConfig(
         systems=_split_labels(args.systems),
         num_realisations=args.realisations,
         c_grid=tuple(args.c_grid),
@@ -206,11 +222,11 @@ def cmd_simulate(args) -> int:
         gbrt=_gbrt_params(args),
         test_groups=_split_labels(args.test_groups),
         jobs=args.jobs)
-    result = monte_carlo(corpus, sweep)
-    write_report_csv(args.report_out, result)
+    result = harness.monte_carlo(corpus, sweep)
+    harness.write_report_csv(args.report_out, result)
     print(f"wrote report to {args.report_out}")
     if args.realisations_out is not None:
-        write_realisations_csv(args.realisations_out, result)
+        harness.write_realisations_csv(args.realisations_out, result)
         print(f"wrote per-realisation metrics to {args.realisations_out}")
     return 0
 
@@ -218,7 +234,8 @@ def cmd_simulate(args) -> int:
 def cmd_predict(args) -> int:
     """One-shot prediction: the completed tasks in times.csv row order, which is
     the order they finished, then the queued ones in corpus order."""
-    cascade = load_config(args.config)
+    from . import config, gbrt, predictors
+    cascade = config.load_config(args.config)
     corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
                          encoders=args.encoders)
     times = corpus.times or {}
@@ -226,23 +243,23 @@ def cmd_predict(args) -> int:
     queued = [t.task_id for t in corpus.tasks if t.task_id not in times]
     if not queued:
         raise ValidationError("every task already has a measured time; nothing to predict")
-    system = args.system or cascade_select(cascade, len(done) / corpus.N)
+    system = args.system or predictors.cascade_select(cascade, len(done) / corpus.N)
 
     assignment = model = None
     if system == "CP":
         assignment = cluster_clips(corpus.clips, k=args.k, seed=args.seed)
     elif system != "BP":
         if args.model_in is not None:
-            model = load_model(args.model_in)
+            model = gbrt.load_model(args.model_in)
         elif system == "GXP":
             raise ValidationError("GXP predicts with a model trained elsewhere; "
                                   "pass --model-in")
         else:
             model = _gbrt_params(args)
-    result = Forecast(system, corpus, done + queued, assignment=assignment,
-                      model=model).at(corpus.seconds_of(done))
+    result = predictors.Forecast(system, corpus, done + queued, assignment=assignment,
+                                 model=model).at(corpus.seconds_of(done))
     if args.model_out is not None and result.model is not None:
-        save_model(args.model_out, result.model)
+        gbrt.save_model(args.model_out, result.model)
 
     if args.per_task_out is not None:
         write_csv(args.per_task_out, ["task_id", "predicted_seconds"],
@@ -265,7 +282,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = load_report_csv(args.report)
+    from . import harness
+    rows = harness.load_report_csv(args.report)
     if args.system:
         wanted = set(args.system)
         rows = [r for r in rows if r.system in wanted]
@@ -285,40 +303,33 @@ def cmd_report(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# parser wiring: one flag-adding function per subcommand, each importing
+# what its library defaults need
 
 def _add_gbrt_flags(p) -> None:
     """GBRT flags shared by simulate and predict; ``_gbrt_params`` reads them."""
-    gbrt = GbrtParams()
-    p.add_argument("--trees", type=int, default=gbrt.num_trees,
+    from . import gbrt
+    params = gbrt.GbrtParams()
+    p.add_argument("--trees", type=int, default=params.num_trees,
                    help="boosting rounds (default %(default)s)")
-    p.add_argument("--depth", type=int, default=gbrt.max_depth,
+    p.add_argument("--depth", type=int, default=params.max_depth,
                    help="tree depth (default %(default)s)")
-    p.add_argument("--learning-rate", type=float, default=gbrt.learning_rate,
+    p.add_argument("--learning-rate", type=float, default=params.learning_rate,
                    help="shrinkage (default %(default)s)")
-    p.add_argument("--min-leaf", type=int, default=gbrt.min_samples_leaf,
+    p.add_argument("--min-leaf", type=int, default=params.min_samples_leaf,
                    help="fewest rows in a leaf (default %(default)s)")
 
 
-def build_parser() -> _Parser:
-    spec, sweep = SynthSpec(), SweepConfig()
-    parser = _Parser(
-        prog="corpus-eta",
-        description="Predict how long the rest of a video encode corpus will take.",
-        epilog="exit codes: 0 ok, 1 invalid input, 2 runtime failure, 64 usage, "
-               "130 interrupted")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("ingest", help="validate corpus CSVs and expand the task grid")
+def _ingest_flags(p) -> None:
     p.add_argument("--features", required=True, help="clip features CSV")
     p.add_argument("--times", default=None, help="measured times CSV")
     p.add_argument("--tasks", default=None,
                    help="task list CSV; omitted means expand clips x encoders x presets x CQPs")
     p.add_argument("--encoders", nargs="+", default=list(DEFAULT_ENCODERS))
     p.add_argument("--out-dir", default=None, help="write normalized CSVs here")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("analyze", help="complexity features from a raw YUV420p file")
+
+def _analyze_flags(p) -> None:
     p.add_argument("--yuv", required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
@@ -331,17 +342,17 @@ def build_parser() -> _Parser:
                    help="append to --features-out instead of overwriting")
     p.add_argument("--clip-id", default=None)
     p.add_argument("--source-group", default="default")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("cluster", help="k-means over standardized clip features")
+
+def _cluster_flags(p) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--k", type=int, default=DEFAULT_K, help="clusters (default %(default)s)")
     p.add_argument("--seed", type=_seed, default=0, help="centroid seeding (default %(default)s)")
     p.add_argument("--out", required=True, help="clip_id,cluster CSV")
     p.add_argument("--centroids-out", default=None)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("encode", help="run encode commands and record wall-clock times")
+
+def _encode_flags(p) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--tasks", default=None)
     p.add_argument("--encoders", nargs="+", default=list(DEFAULT_ENCODERS))
@@ -357,10 +368,11 @@ def build_parser() -> _Parser:
                    help="continue an existing times CSV, skipping measured tasks")
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--keep-output", action="store_true")
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("simulate",
-                       help="Monte-Carlo sweep of the predictors over corpus orderings")
+
+def _simulate_flags(p) -> None:
+    from . import harness
+    spec, sweep = harness.SynthSpec(), harness.SweepConfig()
     p.add_argument("--synthetic", action="store_true",
                    help="generate the corpus instead of reading CSVs")
     p.add_argument("--features", default=None, help="measured corpus: features CSV")
@@ -399,15 +411,15 @@ def build_parser() -> _Parser:
     p.add_argument("--realisations-out", default=None)
     p.add_argument("--corpus-out", default=None,
                    help="also write the corpus CSVs here")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("predict",
-                       help="predict remaining wall-clock time for a corpus")
+
+def _predict_flags(p) -> None:
+    from . import predictors
     p.add_argument("--features", required=True)
     p.add_argument("--times", default=None, help="measured times so far")
     p.add_argument("--tasks", default=None)
     p.add_argument("--encoders", nargs="+", default=list(DEFAULT_ENCODERS))
-    p.add_argument("--system", choices=list(SYSTEMS), default=None,
+    p.add_argument("--system", choices=list(predictors.SYSTEMS), default=None,
                    help="default: the cascade picks one from the completion ratio")
     p.add_argument("--config", default=None,
                    help="YAML file with the cascade policy (bounds and systems)")
@@ -418,20 +430,48 @@ def build_parser() -> _Parser:
     p.add_argument("--model-in", default=None, help="load a trained model (JSON)")
     p.add_argument("--model-out", default=None, help="save the trained model (JSON)")
     p.add_argument("--per-task-out", default=None, help="per-task prediction CSV")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("report", help="render a sweep report CSV")
+
+def _report_flags(p) -> None:
+    from . import predictors
     p.add_argument("--report", required=True)
-    p.add_argument("--system", nargs="+", default=None, choices=list(SYSTEMS))
+    p.add_argument("--system", nargs="+", default=None, choices=list(predictors.SYSTEMS))
     p.add_argument("--c", type=float, nargs="+", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_report)
 
+
+# name: (help line, flag-adding function), in --help order
+COMMANDS = {
+    "ingest": ("validate corpus CSVs and expand the task grid", _ingest_flags),
+    "analyze": ("complexity features from a raw YUV420p file", _analyze_flags),
+    "cluster": ("k-means over standardized clip features", _cluster_flags),
+    "encode": ("run encode commands and record wall-clock times", _encode_flags),
+    "simulate": ("Monte-Carlo sweep of the predictors over corpus orderings", _simulate_flags),
+    "predict": ("predict remaining wall-clock time for a corpus", _predict_flags),
+    "report": ("render a sweep report CSV", _report_flags),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """Every subcommand, with the flags of ``command`` only (all when None)."""
+    parser = _Parser(
+        prog="corpus-eta",
+        description="Predict how long the rest of a video encode corpus will take.",
+        epilog="exit codes: 0 ok, 1 invalid input, 2 runtime failure, 64 usage, "
+               "130 interrupted")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_line, add_flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_flags(p)
+        # looked up now, not at import, so a wrapper set on cli.cmd_* sees the call
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

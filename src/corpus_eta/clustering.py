@@ -142,6 +142,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 300,
         raise ValidationError(f"got {len(ids)} ids for {n} points")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     best = None

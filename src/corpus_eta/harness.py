@@ -83,6 +83,8 @@ class SynthSpec:
 
 def synth_corpus(spec: SynthSpec, seed: int = 0) -> Corpus:
     """Generate clips, expand tasks and draw times t = exp(law(x) + eps)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     clips = []
     for i in range(spec.n_clips):
@@ -150,6 +152,8 @@ class SweepConfig:
                 raise ValidationError(f"completion ratios must lie in [0, 1), got {c}")
         if any(b <= a for a, b in zip(self.c_grid, self.c_grid[1:])):
             raise ValidationError("completion grid must be strictly increasing")
+        if self.base_seed < 0:
+            raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.jobs is not None and self.jobs < 1:

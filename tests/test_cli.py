@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus_eta import cli, complexity, harness
+from corpus_eta import cli, complexity, harness, runner
 from corpus_eta.cli import _gbrt_params, build_parser, main
 from corpus_eta.clustering import DEFAULT_K
 from corpus_eta.corpus import (TimeRecord, load_features_csv, load_times_csv,
@@ -98,6 +98,71 @@ class TestUsageErrors:
         proc = subprocess.run(["corpus-eta", "--help"], capture_output=True)
         assert proc.returncode == 0
         assert b"corpus-eta" in proc.stdout
+
+
+def modules_after(argv):
+    """Every module a fresh interpreter holds after ``main(argv)`` returns 0."""
+    code = ("import json, sys; from corpus_eta.cli import main; "
+            "rc = main(json.loads(sys.argv[1])); print(json.dumps([rc, sorted(sys.modules)]))")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    proc = subprocess.run([PY, "-c", code, json.dumps(argv)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return set(modules)
+
+
+class TestStartup:
+    """Each command builds its own flags and imports only the modules it runs."""
+
+    @pytest.mark.parametrize("cmd,runs", [
+        ("analyze", {"complexity"}),
+        ("encode", {"runner"}),
+        ("cluster", set()),
+        ("predict", {"config", "gbrt", "predictors"}),
+    ])
+    def test_each_command_imports_only_what_it_runs(self, corpus_files, tmp_path, cmd, runs):
+        corpus, features, times = corpus_files
+        yuv = tmp_path / "clip.yuv"
+        write_yuv(yuv, [np.full((32, 32), 128, dtype=np.uint8)])
+        argv = {
+            "analyze": ["analyze", "--yuv", str(yuv), "--width", "32", "--height", "32"],
+            # every task already measured: nothing left to encode
+            "encode": ["encode", "--features", str(features), "--encoders", "x264",
+                       "--input-dir", str(tmp_path), "--template", "true",
+                       "--out", str(times), "--scratch", str(tmp_path / "scratch"),
+                       "--resume"],
+            "cluster": ["cluster", "--features", str(features), "--k", "2",
+                        "--out", str(tmp_path / "labels.csv")],
+            "predict": ["predict", "--features", str(features), "--encoders", "x264",
+                        "--times", str(partial_times(tmp_path, corpus, 6)),
+                        "--system", "CP", "--k", "2"],
+        }[cmd]
+        loaded = modules_after(argv)
+        package = {name.split(".", 1)[1] for name in loaded if name.startswith("corpus_eta.")}
+        assert package == {"cli", "clustering", "corpus", "errors"} | runs
+        assert "multiprocessing" not in loaded
+        assert "concurrent.futures.process" not in loaded
+
+    def test_main_calls_the_command_through_the_module(self, monkeypatch):
+        # perfbench/tracing.py times predict by wrapping cli.cmd_predict
+        calls = []
+        monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(args.report) or 0)
+        assert main(["report", "--report", "r.csv"]) == 0
+        assert calls == ["r.csv"]
+
+    @pytest.mark.parametrize("cmd", ["ingest", "analyze", "cluster", "encode",
+                                     "simulate", "predict", "report"])
+    def test_one_command_parser_prints_the_full_parser_help(self, cmd, capsys):
+        texts = []
+        for parser in (build_parser(cmd), build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([cmd, "--help"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: corpus-eta {cmd}")
 
 
 class TestFlagDefaults:
@@ -317,7 +382,7 @@ class TestEncode:
         def broken(*args, **kwargs):
             raise EncodeError("cannot launch the encoder")
 
-        monkeypatch.setattr(cli, "batch_encode", broken)
+        monkeypatch.setattr(runner, "batch_encode", broken)
         corpus = make_corpus(n_clips=1, encoders=("x264",))
         features = tmp_path / "features.csv"
         save_features_csv(features, corpus.clips)
@@ -407,7 +472,7 @@ class TestSimulate:
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr(cli, "monte_carlo", no_sweep)
+        monkeypatch.setattr(harness, "monte_carlo", no_sweep)
         outputs = {"--report-out": str(tmp_path / "r.csv"),
                    flag: str(tmp_path / "missing" / "out.csv")}
         rc = main(SIM_BASE + [arg for pair in outputs.items() for arg in pair])

@@ -271,6 +271,11 @@ class TestClusterClips:
         a = cluster_clips(clips, k=2, seed=1)
         assert set(a.labels) == {c.clip_id for c in clips}
 
+    def test_negative_seed_rejected(self):
+        clips = make_clips(4, rng=np.random.default_rng(6))
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            cluster_clips(clips, k=2, seed=-1)
+
 
 def task_counts(assignment, tasks):
     return np.bincount(task_labels(assignment, tasks), minlength=assignment.k).tolist()

@@ -73,6 +73,10 @@ class TestSynthCorpus:
         assert len(corpus.clips) == 5
         assert len(corpus.times) == corpus.N
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            synth_corpus(SynthSpec(n_clips=6), seed=-1)
+
     def test_seed_determinism(self):
         a = synth_corpus(SynthSpec(n_clips=4), seed=3)
         b = synth_corpus(SynthSpec(n_clips=4), seed=3)
@@ -261,6 +265,7 @@ class TestSweepConfig:
         (dict(k=0), "k must be"),
         (dict(jobs=0), "jobs"),
         (dict(systems=("GXP",)), "held-out source group"),
+        (dict(base_seed=-1), "base_seed must be >= 0, got -1"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValidationError, match=msg):
