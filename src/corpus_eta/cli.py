@@ -192,7 +192,13 @@ def _split_labels(values) -> tuple[str, ...]:
 
 
 def cmd_simulate(args) -> int:
-    from . import harness
+    from . import harness, metrics
+    # checked before the corpus is built or written and before the sweep,
+    # which can run for minutes
+    for flag, path in (("--report-out", args.report_out),
+                       ("--realisations-out", args.realisations_out)):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"{flag}: directory of {path} does not exist")
     if args.synthetic:
         spec = harness.SynthSpec(n_clips=args.n_clips,
                                  encoders=tuple(args.encoders or harness.SynthSpec.encoders),
@@ -208,11 +214,6 @@ def cmd_simulate(args) -> int:
         _save_corpus_dir(corpus, args.corpus_out)
         print(f"wrote corpus CSVs to {args.corpus_out}")
 
-    # checked before the sweep, which can run for minutes
-    for flag, path in (("--report-out", args.report_out),
-                       ("--realisations-out", args.realisations_out)):
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValidationError(f"{flag}: directory of {path} does not exist")
     sweep = harness.SweepConfig(
         systems=_split_labels(args.systems),
         num_realisations=args.realisations,
@@ -223,7 +224,7 @@ def cmd_simulate(args) -> int:
         test_groups=_split_labels(args.test_groups),
         jobs=args.jobs)
     result = harness.monte_carlo(corpus, sweep)
-    harness.write_report_csv(args.report_out, result)
+    metrics.write_report_csv(args.report_out, harness.report_rows(result))
     print(f"wrote report to {args.report_out}")
     if args.realisations_out is not None:
         harness.write_realisations_csv(args.realisations_out, result)
@@ -244,6 +245,8 @@ def cmd_predict(args) -> int:
     if not queued:
         raise ValidationError("every task already has a measured time; nothing to predict")
     system = args.system or predictors.cascade_select(cascade, len(done) / corpus.N)
+    if args.model_out is not None and system in ("BP", "CP"):
+        raise ValidationError(f"--model-out: {system} fits no model")
 
     assignment = model = None
     if system == "CP":
@@ -258,7 +261,7 @@ def cmd_predict(args) -> int:
             model = _gbrt_params(args)
     result = predictors.Forecast(system, corpus, done + queued, assignment=assignment,
                                  model=model).at(corpus.seconds_of(done))
-    if args.model_out is not None and result.model is not None:
+    if args.model_out is not None:
         gbrt.save_model(args.model_out, result.model)
 
     if args.per_task_out is not None:
@@ -282,8 +285,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from . import harness
-    rows = harness.load_report_csv(args.report)
+    from . import metrics
+    rows = metrics.load_report_csv(args.report)
     if args.system:
         wanted = set(args.system)
         rows = [r for r in rows if r.system in wanted]

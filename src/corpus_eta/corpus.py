@@ -134,6 +134,8 @@ class Corpus:
     tasks: tuple[EncodeTask, ...]
     times: dict[str, TimeRecord] | None = None
     _clips_by_id: dict[str, Clip] = field(init=False, repr=False, compare=False, default=None)
+    _tasks_by_id: dict[str, EncodeTask] = field(init=False, repr=False, compare=False,
+                                                 default=None)
 
     def __post_init__(self):
         if not self.clips:
@@ -143,19 +145,20 @@ class Corpus:
             if clip.clip_id in by_id:
                 raise ValidationError(f"duplicate clip_id {clip.clip_id!r}")
             by_id[clip.clip_id] = clip
-        seen_tasks = set()
+        tasks_by_id: dict[str, EncodeTask] = {}
         for task in self.tasks:
-            if task.task_id in seen_tasks:
+            if task.task_id in tasks_by_id:
                 raise ValidationError(f"duplicate task_id {task.task_id!r}")
-            seen_tasks.add(task.task_id)
+            tasks_by_id[task.task_id] = task
             if task.clip_id not in by_id:
                 raise ValidationError(
                     f"task {task.task_id!r} references unknown clip {task.clip_id!r}")
         if self.times is not None:
             for task_id in self.times:
-                if task_id not in seen_tasks:
+                if task_id not in tasks_by_id:
                     raise ValidationError(f"time record for unknown task {task_id!r}")
         object.__setattr__(self, "_clips_by_id", by_id)
+        object.__setattr__(self, "_tasks_by_id", tasks_by_id)
 
     @property
     def N(self) -> int:
@@ -165,14 +168,10 @@ class Corpus:
     def clip(self, clip_id: str) -> Clip:
         return self._clips_by_id[clip_id]
 
-    def task_map(self) -> dict[str, EncodeTask]:
-        return {t.task_id: t for t in self.tasks}
-
     def tasks_of(self, task_ids: Sequence[str]) -> list[EncodeTask]:
         """The task of each id, in the order of ``task_ids``."""
-        task_map = self.task_map()
         try:
-            return [task_map[tid] for tid in task_ids]
+            return [self._tasks_by_id[tid] for tid in task_ids]
         except KeyError as exc:
             raise ValidationError(f"unknown task_id {exc.args[0]!r}") from None
 

@@ -20,11 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clustering import DEFAULT_K, ClusterAssignment, cluster_clips
-from .corpus import (Clip, Corpus, TimeRecord, expand_tasks, float_text, parse_field,
-                     read_csv, write_csv)
+from .corpus import Clip, Corpus, TimeRecord, expand_tasks, float_text, write_csv
 from .errors import ValidationError
 from .gbrt import GbrtModel, GbrtParams, feature_matrix, train
-from .metrics import MetricReport, evaluate
+from .metrics import MetricReport, ReportRow, evaluate
 from .predictors import SYSTEMS, Forecast, cxp_order, gxp_train_split
 
 # Nothing here calls these; perfbench/tracing.py wraps them as attributes
@@ -35,7 +34,6 @@ from .predictors import bp_predict, cp_predict  # noqa: F401
 # 2% increments, full completion excluded (nothing left to predict there)
 DEFAULT_C_GRID = tuple(i / 50.0 for i in range(1, 50))
 
-REPORT_HEADER = ["system", "c", "mape", "r2", "sape"]
 REALISATIONS_HEADER = ["system", "seed", "c", "mape", "r2", "sape", "n", "signed_sape"]
 
 
@@ -215,8 +213,7 @@ def run_realization(corpus: Corpus, system: str, seed: int,
 @dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
-    mean: dict[tuple[str, float], MetricReport]       # (system, c) -> averaged metrics
-    realisations: tuple[RealizationResult, ...]
+    realisations: tuple[RealizationResult, ...]  # system-major, in config order
 
 
 # Set once per worker process by the pool initializer, so the corpus travels to
@@ -279,18 +276,9 @@ def _worker_count(jobs: int | None, n_jobs: int) -> int:
     return min(jobs, n_jobs)
 
 
-def _mean_report(reports: Sequence[MetricReport]) -> MetricReport:
-    n = len(reports)
-    return MetricReport(mape=math.fsum(r.mape for r in reports) / n,
-                        r2=math.fsum(r.r2 for r in reports) / n,
-                        sape=math.fsum(r.sape for r in reports) / n,
-                        n=reports[0].n,
-                        signed_sape=math.fsum(r.signed_sape for r in reports) / n)
-
-
-def monte_carlo(corpus: Corpus, config: SweepConfig,
-                assignment: ClusterAssignment | None = None) -> SweepResult:
-    """Average every selected system over seeded random orderings.
+def monte_carlo(corpus: Corpus, config: SweepConfig) -> SweepResult:
+    """Score every selected system over seeded random orderings; ``report_rows``
+    averages them.
 
     Realisation i uses seed base_seed + i for every system, so systems that
     share the uniform ordering policy see identical orders. Realisations run
@@ -327,8 +315,8 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
                     futures[(system, seed)] = submit(_realisation_job, system, seed, inputs)
 
     try:
-        clusters = model = None
-        if assignment is None and {"CP", "CXP"} & set(config.systems):
+        clusters = model = assignment = None
+        if {"CP", "CXP"} & set(config.systems):
             clusters = submit(_cluster_job, config.k, config.base_seed)
         if split is not None:
             model = submit(_train_job, split.train_rows, split.train_targets)
@@ -345,43 +333,26 @@ def monte_carlo(corpus: Corpus, config: SweepConfig,
         # cancel_futures drops the queued jobs when a job fails or Ctrl-C lands
         pool.shutdown(cancel_futures=True)
 
-    mean: dict[tuple[str, float], MetricReport] = {}
-    R = config.num_realisations
-    for s_idx, system in enumerate(config.systems):
-        chunk = results[s_idx * R:(s_idx + 1) * R]
-        for c in config.c_grid:
-            mean[(system, float(c))] = _mean_report([r.per_c[float(c)] for r in chunk])
-    return SweepResult(config=config, mean=mean, realisations=tuple(results))
+    return SweepResult(config=config, realisations=tuple(results))
 
 
 # ---------------------------------------------------------------------------
-# persistence
-
-@dataclass(frozen=True)
-class ReportRow:
-    system: str
-    c: float
-    mape: float
-    r2: float
-    sape: float
-
+# reports
 
 def report_rows(result: SweepResult) -> list[ReportRow]:
-    """Averaged metrics flattened in (system, c) order."""
+    """Each system's metrics at each c, averaged over its realisations, in
+    (system, c) order."""
+    R = result.config.num_realisations
     rows = []
-    for system in result.config.systems:
+    for s_idx, system in enumerate(result.config.systems):
+        chunk = result.realisations[s_idx * R:(s_idx + 1) * R]
         for c in result.config.c_grid:
-            rep = result.mean[(system, float(c))]
-            rows.append(ReportRow(system=system, c=float(c), mape=rep.mape,
-                                  r2=rep.r2, sape=rep.sape))
+            reports = [r.per_c[float(c)] for r in chunk]
+            rows.append(ReportRow(system=system, c=float(c),
+                                  mape=math.fsum(r.mape for r in reports) / R,
+                                  r2=math.fsum(r.r2 for r in reports) / R,
+                                  sape=math.fsum(r.sape for r in reports) / R))
     return rows
-
-
-def write_report_csv(path, result: SweepResult) -> None:
-    """Averaged metrics, one row per (system, c); float text round-trips exactly."""
-    write_csv(path, REPORT_HEADER,
-              ([row.system, float_text(row.c), float_text(row.mape), float_text(row.r2),
-                float_text(row.sape)] for row in report_rows(result)))
 
 
 def write_realisations_csv(path, result: SweepResult) -> None:
@@ -395,11 +366,3 @@ def write_realisations_csv(path, result: SweepResult) -> None:
                          float_text(rep.signed_sape)])
     write_csv(path, REALISATIONS_HEADER, rows)
 
-
-def load_report_csv(path) -> list[ReportRow]:
-    """Read back what write_report_csv produced."""
-    return [ReportRow(system=system, c=parse_field(path, lineno, "c", c, float),
-                      mape=parse_field(path, lineno, "mape", mape, float),
-                      r2=parse_field(path, lineno, "r2", r2, float),
-                      sape=parse_field(path, lineno, "sape", sape, float))
-            for lineno, (system, c, mape, r2, sape) in read_csv(path, REPORT_HEADER)]

@@ -4,6 +4,8 @@ MAPE and R^2 grade per-task predictions; the sum absolute percentage error
 (SAPE) grades the aggregate: the absolute error of the summed prediction
 over the remaining tasks, as a percentage of the summed actual time. The
 signed SAPE keeps the error's sign, negative when the prediction runs low.
+The sweep report holds the three, averaged over replay orders, per system and
+completion ratio.
 """
 
 from __future__ import annotations
@@ -13,16 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import float_text, parse_field, read_csv, write_csv
 from .errors import ValidationError
+
+REPORT_HEADER = ["system", "c", "mape", "r2", "sape"]
 
 
 @dataclass(frozen=True)
 class MetricReport:
     mape: float  # percent
     r2: float    # may be negative; NaN when the actuals are constant
-    sape: float  # percent
     n: int       # tasks evaluated
     signed_sape: float  # percent; negative when the prediction runs low
+
+    @property
+    def sape(self) -> float:
+        """Percent: the size of signed_sape."""
+        return abs(self.signed_sape)
 
 
 def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +95,33 @@ def evaluate(actual, predicted) -> MetricReport:
         r2_val = r2(a, p)
     except ValidationError:
         r2_val = float("nan")
-    signed = signed_sape(a, p)
-    return MetricReport(mape=mape(a, p), r2=r2_val, sape=abs(signed), n=int(a.size),
-                        signed_sape=signed)
+    return MetricReport(mape=mape(a, p), r2=r2_val, n=int(a.size),
+                        signed_sape=signed_sape(a, p))
+
+
+# ---------------------------------------------------------------------------
+# the sweep report: one row per (system, c)
+
+@dataclass(frozen=True)
+class ReportRow:
+    system: str
+    c: float
+    mape: float
+    r2: float
+    sape: float
+
+
+def write_report_csv(path, rows) -> None:
+    """One line per ReportRow; float text round-trips exactly."""
+    write_csv(path, REPORT_HEADER,
+              ([row.system, float_text(row.c), float_text(row.mape), float_text(row.r2),
+                float_text(row.sape)] for row in rows))
+
+
+def load_report_csv(path) -> list[ReportRow]:
+    """Read back what write_report_csv produced."""
+    return [ReportRow(system=system, c=parse_field(path, lineno, "c", c, float),
+                      mape=parse_field(path, lineno, "mape", mape, float),
+                      r2=parse_field(path, lineno, "r2", r2, float),
+                      sape=parse_field(path, lineno, "sape", sape, float))
+            for lineno, (system, c, mape, r2, sape) in read_csv(path, REPORT_HEADER)]

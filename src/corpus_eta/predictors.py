@@ -253,7 +253,6 @@ def cxp_order(corpus: Corpus, assignment: ClusterAssignment, seed: int) -> list[
 
 @dataclass(frozen=True)
 class GxpSplit:
-    train_ids: tuple[str, ...]
     train_rows: np.ndarray      # feature matrix for the training tasks
     train_targets: np.ndarray   # log-seconds
     test_ids: tuple[str, ...]
@@ -278,8 +277,7 @@ def gxp_train_split(corpus: Corpus, test_groups) -> GxpSplit:
         raise ValidationError("generalised split has an empty training side")
     if not test_ids:
         raise ValidationError("generalised split has an empty test side")
-    return GxpSplit(train_ids=tuple(train_ids),
-                    train_rows=feature_matrix(corpus, train_ids),
+    return GxpSplit(train_rows=feature_matrix(corpus, train_ids),
                     train_targets=np.log(corpus.seconds_of(train_ids)),
                     test_ids=tuple(test_ids))
 

@@ -19,7 +19,8 @@ from corpus_eta.corpus import (TimeRecord, load_features_csv, load_times_csv,
                                save_features_csv, save_times_csv)
 from corpus_eta.errors import EncodeError, ValidationError
 from corpus_eta.gbrt import GbrtParams
-from corpus_eta.harness import SweepConfig, SynthSpec, load_report_csv
+from corpus_eta.harness import SweepConfig, SynthSpec
+from corpus_eta.metrics import load_report_csv
 
 from helpers import make_corpus, with_random_times
 
@@ -122,11 +123,14 @@ class TestStartup:
         ("encode", {"runner"}),
         ("cluster", set()),
         ("predict", {"config", "gbrt", "predictors"}),
+        ("report", {"metrics", "predictors", "gbrt"}),
     ])
     def test_each_command_imports_only_what_it_runs(self, corpus_files, tmp_path, cmd, runs):
         corpus, features, times = corpus_files
         yuv = tmp_path / "clip.yuv"
         write_yuv(yuv, [np.full((32, 32), 128, dtype=np.uint8)])
+        report = tmp_path / "report.csv"
+        report.write_text("system,c,mape,r2,sape\nBP,0.5,10.0,0.5,2.0\n")
         argv = {
             "analyze": ["analyze", "--yuv", str(yuv), "--width", "32", "--height", "32"],
             # every task already measured: nothing left to encode
@@ -139,6 +143,7 @@ class TestStartup:
             "predict": ["predict", "--features", str(features), "--encoders", "x264",
                         "--times", str(partial_times(tmp_path, corpus, 6)),
                         "--system", "CP", "--k", "2"],
+            "report": ["report", "--report", str(report), "--system", "BP", "--json"],
         }[cmd]
         loaded = modules_after(argv)
         package = {name.split(".", 1)[1] for name in loaded if name.startswith("corpus_eta.")}
@@ -479,6 +484,15 @@ class TestSimulate:
         assert rc == 1
         assert f"{flag}: directory of" in capsys.readouterr().err
 
+    def test_missing_output_directory_exits_1_before_writing_the_corpus(self, tmp_path,
+                                                                        capsys):
+        corpus_dir = tmp_path / "corpus"
+        rc = main(SIM_BASE + ["--corpus-out", str(corpus_dir),
+                              "--report-out", str(tmp_path / "missing" / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        assert not corpus_dir.exists()
+
     def test_kmeans_error_in_a_worker_exits_1(self, tmp_path, capsys):
         rc = main(SIM_BASE + ["--k", "5", "--jobs", "2",
                               "--report-out", str(tmp_path / "r.csv")])
@@ -634,6 +648,24 @@ class TestPredict:
              "--model-in", str(model_path)], capsys)
         assert rc == 0
         assert doc_gxp["system"] == "GXP"
+
+    @pytest.mark.parametrize("system_args,system", [
+        (["--system", "BP"], "BP"),
+        (["--system", "CP"], "CP"),
+        ([], "CP"),  # the cascade's pick at c = 0.25
+    ], ids=["BP", "CP", "cascade"])
+    def test_model_out_for_a_system_without_a_model_exits_1(self, corpus_files, tmp_path,
+                                                            capsys, system_args, system):
+        corpus, features, _ = corpus_files
+        times = partial_times(tmp_path, corpus, 6)
+        model_path = tmp_path / "model.json"
+        rc = main(["predict", "--features", str(features), "--times", str(times),
+                   "--encoders", "x264", "--k", "2", "--model-out", str(model_path),
+                   *system_args])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"corpus-eta: error: --model-out: {system} fits no model\n"
+        assert not model_path.exists()
 
     def test_per_task_out(self, corpus_files, tmp_path, capsys):
         corpus, features, _ = corpus_files

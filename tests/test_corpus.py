@@ -125,7 +125,8 @@ class TestCorpus:
         tasks = expand_tasks(clips, ["x264"], presets=["medium"], cqps=[27])
         corpus = Corpus(clips=tuple(clips), tasks=tuple(tasks))
         assert corpus.clip("clip001") is clips[1]
-        assert corpus.task_map()[tasks[0].task_id] is tasks[0]
+        assert corpus.tasks_of([tasks[2].task_id, tasks[0].task_id]) == [tasks[2], tasks[0]]
+        assert corpus.tasks_of([tasks[0].task_id])[0] is tasks[0]
 
 
 class TestExpandTasks:

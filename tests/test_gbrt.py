@@ -726,9 +726,8 @@ class TestFeatureMapping:
         ids = [t.task_id for t in corpus.tasks[:5]]
         rows = feature_matrix(corpus, ids)
         assert rows.shape == (5, len(FEATURE_NAMES))
-        task_map = corpus.task_map()
-        for i, task_id in enumerate(ids):
-            task = task_map[task_id]
+        for i, task in enumerate(corpus.tasks_of(ids)):
+            assert task.task_id == ids[i]
             clip = corpus.clip(task.clip_id)
             expected = [float(getattr(clip, name)) for name in FEATURE_NAMES[:-2]]
             expected += [PRESET_ORD[task.preset], task.cqp]

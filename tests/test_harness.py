@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from corpus_eta import harness
-from corpus_eta.clustering import ClusterAssignment, cluster_clips
+from corpus_eta.clustering import cluster_clips
 from corpus_eta.errors import ValidationError
 from corpus_eta.gbrt import GbrtParams, feature_matrix
-from corpus_eta.harness import (DEFAULT_C_GRID, REALISATIONS_HEADER,
-                                REPORT_HEADER, SweepConfig, SynthSpec,
-                                default_time_law, load_report_csv, monte_carlo,
-                                report_rows, run_realization, synth_corpus,
-                                write_realisations_csv, write_report_csv)
-from corpus_eta.metrics import MetricReport
+from corpus_eta.harness import (DEFAULT_C_GRID, REALISATIONS_HEADER, SweepConfig,
+                                SynthSpec, default_time_law, monte_carlo, report_rows,
+                                run_realization, synth_corpus, write_realisations_csv)
+from corpus_eta.metrics import REPORT_HEADER, load_report_csv, write_report_csv
 
 from helpers import make_corpus, with_constant_times, with_random_times
 
@@ -235,7 +233,7 @@ class TestRunRealization:
         for jobs in (2, 3):
             parallel = monte_carlo(corpus, SweepConfig(jobs=jobs, **base))
             assert parallel.realisations == serial.realisations
-            assert parallel.mean == serial.mean
+            assert report_rows(parallel) == report_rows(serial)
 
     def test_corpus_without_times_rejected(self):
         corpus = make_corpus(n_clips=2)
@@ -279,17 +277,18 @@ class TestMonteCarlo:
                              c_grid=(0.25, 0.5), k=2, gbrt=SMALL_GBRT)
         result = monte_carlo(corpus, config)
         assert len(result.realisations) == 6
+        rows = iter(report_rows(result))
         for s_idx, system in enumerate(config.systems):
             chunk = result.realisations[s_idx * 3:(s_idx + 1) * 3]
             assert [r.system for r in chunk] == [system] * 3
             assert [r.seed for r in chunk] == [0, 1, 2]
             for c in config.c_grid:
                 reports = [r.per_c[c] for r in chunk]
-                mean = result.mean[(system, c)]
-                assert mean.mape == math.fsum(r.mape for r in reports) / 3
-                assert mean.sape == math.fsum(r.sape for r in reports) / 3
-                assert mean.r2 == math.fsum(r.r2 for r in reports) / 3
-                assert mean.n == reports[0].n
+                row = next(rows)
+                assert (row.system, row.c) == (system, c)
+                assert row.mape == math.fsum(r.mape for r in reports) / 3
+                assert row.sape == math.fsum(r.sape for r in reports) / 3
+                assert row.r2 == math.fsum(r.r2 for r in reports) / 3
 
     def test_single_realisation_mean_is_identity(self):
         corpus = tiny_corpus(n_clips=3)
@@ -297,9 +296,8 @@ class TestMonteCarlo:
                              c_grid=(0.5,))
         result = monte_carlo(corpus, config)
         real = result.realisations[0].per_c[0.5]
-        mean = result.mean[("BP", 0.5)]
-        assert (mean.mape, mean.r2, mean.sape, mean.n) == \
-            (real.mape, real.r2, real.sape, real.n)
+        [row] = report_rows(result)
+        assert (row.mape, row.r2, row.sape) == (real.mape, real.r2, real.sape)
 
     def test_systems_share_ordering_seeds(self):
         corpus = tiny_corpus(n_clips=3)
@@ -308,31 +306,12 @@ class TestMonteCarlo:
         result = monte_carlo(corpus, config)
         assert [r.seed for r in result.realisations] == [11, 12, 11, 12]
 
-    def test_cp_rejects_a_label_outside_k(self):
-        corpus = tiny_corpus(n_clips=2)
-        a, b = (c.clip_id for c in corpus.clips)
-        assignment = ClusterAssignment(k=1, labels={a: 0, b: 3},
-                                       centroids=np.zeros((1, 7)), sizes=np.array([1]),
-                                       sse_per_iter=(0.0,), n_iter=1)
-        config = SweepConfig(systems=("CP",), num_realisations=1, c_grid=(0.5,), k=1,
-                             jobs=1)
-        with pytest.raises(ValidationError, match="has cluster label 3, outside"):
-            monte_carlo(corpus, config, assignment)
-
     def test_auto_clustering_kicks_in_for_cp(self):
         corpus = tiny_corpus(n_clips=4)
         config = SweepConfig(systems=("CP",), num_realisations=1,
                              c_grid=(0.5,), k=2)
-        result = monte_carlo(corpus, config)  # no assignment passed
-        assert ("CP", 0.5) in result.mean
-
-    def test_cp_with_an_unlabeled_clip_rejected(self):
-        corpus = tiny_corpus(n_clips=4)
-        partial = cluster_clips(corpus.clips[:3], k=2, seed=0)
-        config = SweepConfig(systems=("CP",), num_realisations=1, c_grid=(0.5,), jobs=1)
-        missing = corpus.clips[3].clip_id
-        with pytest.raises(ValidationError, match=f"clip '{missing}' has no cluster label"):
-            monte_carlo(corpus, config, assignment=partial)
+        result = monte_carlo(corpus, config)
+        assert [(r.system, r.c) for r in report_rows(result)] == [("CP", 0.5)]
 
     def test_gxp_flow(self):
         corpus = tiny_corpus(n_clips=6)
@@ -340,7 +319,7 @@ class TestMonteCarlo:
                              c_grid=(0.0, 0.5), gbrt=SMALL_GBRT,
                              test_groups=("g1",))
         result = monte_carlo(corpus, config)
-        assert result.mean[("GXP", 0.0)].n == 36
+        assert [r.per_c[0.0].n for r in result.realisations] == [36, 36]
 
     def test_parallel_execution_matches_serial(self):
         corpus = tiny_corpus(n_clips=4)
@@ -348,7 +327,7 @@ class TestMonteCarlo:
                     c_grid=(0.25, 0.5), k=2, gbrt=SMALL_GBRT)
         serial = monte_carlo(corpus, SweepConfig(jobs=1, **base))
         parallel = monte_carlo(corpus, SweepConfig(jobs=2, **base))
-        assert serial.mean == parallel.mean
+        assert report_rows(serial) == report_rows(parallel)
         assert serial.realisations == parallel.realisations
 
     def test_worker_count_is_usable_cpus_capped_at_jobs(self, monkeypatch):
@@ -447,7 +426,7 @@ class TestReports:
     def test_csv_roundtrip_and_header(self, tmp_path):
         result = small_result()
         path = tmp_path / "report.csv"
-        write_report_csv(path, result)
+        write_report_csv(path, report_rows(result))
         first_line = path.read_text().splitlines()[0]
         assert first_line == "system,c,mape,r2,sape"
         assert REPORT_HEADER == ["system", "c", "mape", "r2", "sape"]
@@ -457,8 +436,8 @@ class TestReports:
     def test_csv_bytes_are_stable(self, tmp_path):
         result = small_result()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report_csv(a, result)
-        write_report_csv(b, result)
+        write_report_csv(a, report_rows(result))
+        write_report_csv(b, report_rows(result))
         assert a.read_bytes() == b.read_bytes()
 
     def test_realisations_csv(self, tmp_path):

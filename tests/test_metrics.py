@@ -173,6 +173,11 @@ class TestEvaluate:
         assert report.n == 2
         assert report.signed_sape == signed_sape(a, p) == -30.0
 
+    @pytest.mark.parametrize("signed", [-30.0, 0.0, 12.5])
+    def test_sape_is_the_size_of_signed_sape(self, signed):
+        report = MetricReport(mape=1.0, r2=0.5, n=2, signed_sape=signed)
+        assert report.sape == abs(signed)
+
     def test_constant_actual_reports_nan_r2(self):
         report = evaluate([5.0, 5.0], [4.0, 6.0])
         assert math.isnan(report.r2)

@@ -492,17 +492,19 @@ class TestGxpSplit:
         test_clips = {c.clip_id for c in corpus.clips if c.source_group == "g2"}
         assert len(test_clips) == 2
         assert len(split.test_ids) == 2 * 12
-        assert len(split.train_ids) == 4 * 12
         assert all(tid.split(":")[0] in test_clips for tid in split.test_ids)
-        assert not any(tid.split(":")[0] in test_clips for tid in split.train_ids)
+        # the rest of the corpus's 6 * 12 tasks form the training side
+        assert split.train_rows.shape[0] == 4 * 12
 
     def test_targets_are_log_seconds_in_train_order(self):
         corpus = with_random_times(make_corpus(n_clips=4, num_groups=2),
                                    np.random.default_rng(5))
         split = gxp_train_split(corpus, ["g1"])
-        expected = [math.log(corpus.times[tid].seconds) for tid in split.train_ids]
+        train_ids = [t.task_id for t in corpus.tasks
+                     if corpus.clip(t.clip_id).source_group != "g1"]
+        expected = [math.log(corpus.times[tid].seconds) for tid in train_ids]
         assert split.train_targets.tolist() == expected
-        assert split.train_rows.shape == (len(split.train_ids), 9)
+        assert split.train_rows.shape == (len(train_ids), 9)
 
     def test_unknown_group_rejected(self):
         corpus = with_random_times(make_corpus(n_clips=2, num_groups=2),
