@@ -244,7 +244,8 @@ def cmd_predict(args) -> int:
     queued = [t.task_id for t in corpus.tasks if t.task_id not in times]
     if not queued:
         raise ValidationError("every task already has a measured time; nothing to predict")
-    system = args.system or predictors.cascade_select(cascade, len(done) / corpus.N)
+    c = len(done) / corpus.N
+    system = args.system or predictors.cascade_select(cascade, c)
     if args.model_out is not None and system in ("BP", "CP"):
         raise ValidationError(f"--model-out: {system} fits no model")
 
@@ -270,8 +271,8 @@ def cmd_predict(args) -> int:
                    in sorted(zip(queued, result.t_hat.tolist()))))
 
     doc = {
-        "system": result.system,
-        "c": result.c,
+        "system": system,
+        "c": c,
         "total_tasks": corpus.N,
         "completed": len(done),
         "remaining": len(queued),
@@ -481,10 +482,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("corpus-eta: interrupted", file=sys.stderr)
         return 130
-    except ValidationError as exc:
-        print(f"corpus-eta: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         # unreadable/unwritable paths are an input problem, not a crash
         print(f"corpus-eta: error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,9 @@ DEFAULT_K = 10
 # Restarts per kmeans call; the run with the lowest final objective wins.
 N_INIT = 10
 
+# Lloyd iterations per restart at most.
+MAX_ITERS = 300
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -71,8 +74,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iters: int) -> tuple[np.ndarray, np.ndarray, list[float], int]:
+def _lloyd(points: np.ndarray, k: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[float], int]:
     """One seeded Lloyd's run; returns (labels, centroids, sse history, iters)."""
     n = points.shape[0]
     centroids = _kmeanspp_init(points, k, rng)
@@ -80,7 +83,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     sse_history: list[float] = []
     iteration = 0
 
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, MAX_ITERS + 1):
         dist_sq = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dist_sq, axis=1)
 
@@ -115,14 +118,14 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     return labels, centroids, sse_history, iteration
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 300,
+def kmeans(points: np.ndarray, k: int, seed: int,
            ids: Sequence[str] | None = None) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding; deterministic for a fixed seed.
 
     Runs N_INIT independent restarts off one seeded stream and keeps the run
     with the lowest final objective, which makes small instances land on the
     global optimum almost always.  Within a run, iteration stops when the
-    assignment stabilizes or after max_iters.  An empty cluster is refilled
+    assignment stabilizes or after MAX_ITERS.  An empty cluster is refilled
     with the point farthest from its own centroid, and that cluster's
     centroid is recentred on the point (so the objective still never
     increases, up to rounding).  With fewer than k distinct points the
@@ -140,15 +143,13 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 300,
         raise ValidationError(f"k={k} exceeds the number of points ({n})")
     if ids is not None and len(ids) != n:
         raise ValidationError(f"got {len(ids)} ids for {n} points")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(N_INIT):
-        run = _lloyd(points, k, rng, max_iters)
+        run = _lloyd(points, k, rng)
         if best is None or run[2][-1] < best[2][-1]:
             best = run
     labels, centroids, sse_history, iteration = best

@@ -349,11 +349,8 @@ def predict(model: GbrtModel, rows, *, margin=None) -> np.ndarray:
     ``predict(model, rows)``.
     """
     X = np.asarray(rows, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X.reshape(1, -1)
     if X.ndim != 2:
-        raise ValidationError(f"rows must be 1-D or 2-D, got shape {X.shape}")
+        raise ValidationError(f"rows must be 2-D, got shape {X.shape}")
     X = np.ascontiguousarray(X)
     if X.shape[1] != model.num_features:
         raise ValidationError(
@@ -370,7 +367,7 @@ def predict(model: GbrtModel, rows, *, margin=None) -> np.ndarray:
         trees = trees[len(trees) - (model.stages[-1] if model.stages else 0):]
     for tree in trees:
         out += model.params.learning_rate * _tree_outputs(tree, X)
-    return out[0] if single else out
+    return out
 
 
 def model_to_dict(model: GbrtModel) -> dict:

@@ -1,8 +1,9 @@
 """The five prediction systems and the completion-ratio cascade.
 
 BP and CP are statistical baselines built on running averages (globally and
-per cluster); each is one function from the completed times to the whole
-prediction, per queued task and in aggregate.  XP and CXP wrap the
+per cluster); ``bp_predict`` and ``cp_predict`` each take the completed
+times to the whole prediction, per queued task and in aggregate, and
+``Forecast.at`` calls them.  XP and CXP wrap the
 boosted-tree model: per-task predictions are exp() of the model output and
 the aggregate is their sum; CXP differs from XP only in that the corpus is
 processed in cluster-stratified order.
@@ -18,6 +19,8 @@ object per corpus and processing order, which builds each system's inputs
 itself, whose ``at`` predicts the queued tasks once the first n have
 completed, and which keeps the model's work from one completion point to the
 next. The Monte-Carlo sweep grades it and ``corpus-eta predict`` ships it.
+``xp_predict`` is not on that path; it stays importable only for the
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ SYSTEMS = ("BP", "CP", "XP", "CXP", "GXP")
 
 @dataclass(frozen=True)
 class AggregatePrediction:
-    system: str
-    c: float
     t_hat: np.ndarray               # seconds per queued task, in processing order
     T_hat: float                    # predicted seconds for the remaining fraction
     t_bar: float | None = None      # BP: the mean completed time
@@ -67,7 +68,7 @@ def bp_predict(completed_times: Sequence[float], total_tasks: int) -> AggregateP
         raise PredictionError("nothing remaining to predict")
     c = n / total_tasks
     t_bar = _mean(seconds)
-    return AggregatePrediction(system="BP", c=c, t_hat=np.full(total_tasks - n, t_bar),
+    return AggregatePrediction(t_hat=np.full(total_tasks - n, t_bar),
                                T_hat=(1.0 - c) * (total_tasks * t_bar), t_bar=t_bar)
 
 
@@ -95,11 +96,10 @@ def cp_predict(labels: Sequence[int], completed_times: Sequence[float]) -> Aggre
     for j in set(done.tolist()):
         means[j] = _mean(seconds[done == j])
     T_hat = (1.0 - c) * math.fsum((counts * means).tolist())
-    return AggregatePrediction(system="CP", c=c, t_hat=means[labels[n:]], T_hat=T_hat)
+    return AggregatePrediction(t_hat=means[labels[n:]], T_hat=T_hat)
 
 
-def xp_predict(model: GbrtModel, remaining: Mapping[str, Sequence[float]],
-               c: float = 0.0, system: str = "XP") -> AggregatePrediction:
+def xp_predict(model: GbrtModel, remaining: Mapping[str, Sequence[float]]) -> AggregatePrediction:
     """exp() the per-task model outputs and sum them for the aggregate.
 
     t_hat follows the iteration order of ``remaining``.
@@ -107,13 +107,12 @@ def xp_predict(model: GbrtModel, remaining: Mapping[str, Sequence[float]],
     if not remaining:
         raise PredictionError("nothing remaining to predict")
     rows = np.asarray(list(remaining.values()), dtype=np.float64)
-    return _model_total(model, predict(model, rows), c, system)
+    return _model_total(model, predict(model, rows))
 
 
-def _model_total(model: GbrtModel, log_t: np.ndarray, c: float,
-                 system: str) -> AggregatePrediction:
+def _model_total(model: GbrtModel, log_t: np.ndarray) -> AggregatePrediction:
     per_task = np.exp(log_t)
-    return AggregatePrediction(system=system, c=c, t_hat=per_task,
+    return AggregatePrediction(t_hat=per_task,
                                T_hat=math.fsum(per_task.tolist()), model=model)
 
 
@@ -200,11 +199,11 @@ class Forecast:
         if n >= N:
             raise PredictionError("nothing remaining to predict")
         if self._output is not None:
-            return _model_total(self._model, self._output[n:], n / N, self.system)
+            return _model_total(self._model, self._output[n:])
         if n == 0:
             raise PredictionError(f"{self.system} needs at least one completed task to train on")
         model, output = self._fit_stages(np.log(seconds))
-        return _model_total(model, output[n:], n / N, self.system)
+        return _model_total(model, output[n:])
 
     def _fit_stages(self, log_t: np.ndarray) -> tuple[GbrtModel, np.ndarray]:
         """The staged model on the completed rows and its output on every row.
@@ -310,7 +309,5 @@ def cascade_select(policy: CascadePolicy, c: float) -> str:
     """Pick the system for completion ratio c; a step function over the bounds."""
     if not 0.0 <= c < 1.0:
         raise PredictionError(f"cascade defined for 0 <= c < 1, got {c}")
-    for bound, system in policy.thresholds:
-        if c <= bound:
-            return system
-    return policy.thresholds[-1][1]
+    # the last bound is 1.0, so some bound is >= c
+    return next(system for bound, system in policy.thresholds if c <= bound)

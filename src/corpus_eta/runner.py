@@ -12,6 +12,7 @@ import glob as globmod
 import logging
 import os
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -45,8 +46,6 @@ class CommandTemplate:
     template: str
 
     def __post_init__(self):
-        if not self.template.strip():
-            raise ValidationError("empty command template")
         try:
             tokens = shlex.split(self.template)
         except ValueError as exc:
@@ -99,7 +98,9 @@ def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
 
     stdout/stderr land in a per-task log under scratch_dir; the encoded
     output is deleted on success unless keep_output is set. Nonzero exit or
-    a failure to launch raises EncodeError pointing at the log.
+    a failure to launch raises EncodeError pointing at the log. An encode
+    killed by SIGINT raises KeyboardInterrupt: a Ctrl-C reaches the whole
+    process group, so the batch is being interrupted, not the task failing.
     """
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
@@ -117,6 +118,8 @@ def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
                               task_id=task.task_id, log_path=str(log_path)) from exc
         elapsed = time.monotonic() - start
 
+    if proc.returncode == -signal.SIGINT:
+        raise KeyboardInterrupt
     if proc.returncode != 0:
         raise EncodeError(
             f"encode exited with code {proc.returncode}",
@@ -218,12 +221,12 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
             writer.writerow(TIMES_HEADER)
             fh.flush()
 
-        def work(task: EncodeTask) -> str:
+        def work(task: EncodeTask) -> None:
             nonlocal succeeded, aborted
             if stop.is_set():
                 with lock:
                     aborted += 1
-                return "aborted"
+                return
             try:
                 result = run_encode(task, corpus.clip(task.clip_id), template,
                                     inputs[task.task_id], scratch_dir,
@@ -235,13 +238,12 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
                     failures.append(task.task_id)
                 if fail_fast:
                     stop.set()
-                return "failed"
+                return
             with lock:
                 writer.writerow([result.task_id, float_text(result.seconds)])
                 fh.flush()
                 os.fsync(fh.fileno())
                 succeeded += 1
-            return "ok"
 
         if concurrency == 1:
             for task in pending:
@@ -250,9 +252,12 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
             with ThreadPoolExecutor(max_workers=concurrency) as pool:
                 list(pool.map(work, pending))
 
+    # the manifest lists this run's failures only: a run without any removes it
+    manifest = times_path.with_name(times_path.name + ".failures.csv")
     if failures:
-        write_csv(times_path.with_name(times_path.name + ".failures.csv"), ["task_id"],
-                  ([tid] for tid in failures))
+        write_csv(manifest, ["task_id"], ([tid] for tid in failures))
+    else:
+        manifest.unlink(missing_ok=True)
 
     return BatchSummary(requested=len(todo_all), skipped=skipped,
                         succeeded=succeeded, failed=tuple(failures),

@@ -124,7 +124,6 @@ def test_02_single_cluster_reduces_to_global_mean(capsys):
             bp = bp_predict(times[:n_done], total)
             cp = cp_predict([0] * total, times[:n_done])
             assert cp.T_hat == bp.T_hat
-            assert cp.c == bp.c
             assert cp.t_hat.tolist() == bp.t_hat.tolist()
 
 

@@ -16,7 +16,7 @@ from corpus_eta import cli, complexity, harness, runner
 from corpus_eta.cli import _gbrt_params, build_parser, main
 from corpus_eta.clustering import DEFAULT_K
 from corpus_eta.corpus import (TimeRecord, load_features_csv, load_times_csv,
-                               save_features_csv, save_times_csv)
+                               save_features_csv, save_tasks_csv, save_times_csv)
 from corpus_eta.errors import EncodeError, ValidationError
 from corpus_eta.gbrt import GbrtParams
 from corpus_eta.harness import SweepConfig, SynthSpec
@@ -382,6 +382,76 @@ class TestEncode:
         err = capsys.readouterr().err
         assert "failed tasks:" in err
         assert (tmp_path / "times.csv.failures.csv").exists()
+
+    def encode_argv(self, tmp_path, corpus, template, *flags, tasks=None):
+        """encode over ``tasks`` (all of the corpus's by default), via --tasks."""
+        features, tasks_csv = tmp_path / "features.csv", tmp_path / "tasks.csv"
+        save_features_csv(features, corpus.clips)
+        save_tasks_csv(tasks_csv, corpus.tasks if tasks is None else tasks)
+        return ["encode", "--features", str(features), "--tasks", str(tasks_csv),
+                "--input-dir", str(self.setup_inputs(tmp_path, corpus)),
+                "--template", template, "--out", str(tmp_path / "times.csv"),
+                "--scratch", str(tmp_path / "scratch"), *flags]
+
+    def test_concurrency_flag(self, tmp_path, capsys):
+        corpus = make_corpus(n_clips=3, encoders=("x264",), presets=("medium",), cqps=(22, 27))
+        argv = self.encode_argv(tmp_path, corpus, "true")
+        assert main(argv + ["--concurrency", "0"]) == 1
+        assert capsys.readouterr().err == \
+            "corpus-eta: error: concurrency must be >= 1, got 0\n"
+        assert main(argv + ["--concurrency", "3"]) == 0
+        assert "succeeded: 6" in capsys.readouterr().out
+        assert sorted(load_times_csv(tmp_path / "times.csv")) == \
+            sorted(t.task_id for t in corpus.tasks)
+
+    def test_fail_fast_flag(self, tmp_path, capsys):
+        corpus = make_corpus(n_clips=2, encoders=("x264",), presets=("medium",), cqps=(22, 27))
+        assert main(self.encode_argv(tmp_path, corpus, "false", "--fail-fast")) == 2
+        out, err = capsys.readouterr()
+        assert "failed: 1\n" in out
+        assert "aborted by fail-fast: 3\n" in out
+        assert err.splitlines()[-1] == f"failed tasks: {corpus.tasks[0].task_id}"
+
+    def test_tasks_flag(self, tmp_path, capsys):
+        corpus = make_corpus(n_clips=2, encoders=("x264",), presets=("medium",), cqps=(22, 27))
+        assert main(self.encode_argv(tmp_path, corpus, "true", tasks=corpus.tasks[1:3])) == 0
+        assert "requested: 2\n" in capsys.readouterr().out
+        assert list(load_times_csv(tmp_path / "times.csv")) == \
+            [t.task_id for t in corpus.tasks[1:3]]
+
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path, concurrency):
+        # clip-major order: each clip's cqp-22 task finishes at once, and its
+        # cqp-27 task creates its output and then hangs until interrupted
+        corpus = make_corpus(n_clips=2, encoders=("x264",), presets=("medium",), cqps=(22, 27))
+        hang = (f"{PY} -c \"import sys, time; open(sys.argv[2], 'w').close(); "
+                f"time.sleep(60 if sys.argv[1] == '27' else 0)\" {{cqp}} {{output}}")
+        argv = [PY, "-m", "corpus_eta.cli",
+                *self.encode_argv(tmp_path, corpus, hang, "--concurrency", concurrency)]
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+        hanging = int(concurrency)
+        # its own process group, which a terminal's Ctrl-C signals as a whole
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env, text=True, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while len(list((tmp_path / "scratch").glob("*27.out"))) < hanging:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 130
+        assert err.splitlines() == ["corpus-eta: interrupted"]
+        done = load_times_csv(tmp_path / "times.csv")
+        assert sorted(done) == sorted(t.task_id for t in corpus.tasks[:2 * hanging:2])
+        assert not (tmp_path / "times.csv.failures.csv").exists()
 
     def test_encode_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

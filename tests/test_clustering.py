@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_eta import clustering
-from corpus_eta.clustering import (N_INIT, ClusterAssignment, clip_feature_matrix,
+from corpus_eta.clustering import (MAX_ITERS, N_INIT, ClusterAssignment, clip_feature_matrix,
                                    cluster_clips, kmeans, save_centroids_csv,
                                    save_clusters_csv, standardize, task_labels)
 from corpus_eta.corpus import CLIP_FEATURES, expand_tasks
@@ -166,10 +166,11 @@ class TestKmeans:
             assert np.allclose(a.centroids[j], pts[labels == j].mean(axis=0),
                                rtol=1e-12, atol=1e-12)
 
-    def test_max_iters_caps_the_loop(self):
+    def test_max_iters_caps_the_loop(self, monkeypatch):
+        monkeypatch.setattr(clustering, "MAX_ITERS", 1)
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(50, 2))
-        a = kmeans(pts, 5, seed=6, max_iters=1)
+        a = kmeans(pts, 5, seed=6)
         assert a.n_iter == 1
         assert len(a.sse_per_iter) == 1
 
@@ -181,11 +182,11 @@ class TestKmeans:
     def test_fewer_distinct_points_than_k_settles(self, values, k, sizes):
         # The mean of three 0.1s (or 0.7s) rounds one ulp off them, and an
         # empty-cluster refill used to swap duplicates back and forth until
-        # max_iters in every restart.
+        # MAX_ITERS in every restart.
         pts = np.asarray(values).reshape(-1, 1)
         rng = np.random.default_rng(0)
         for _ in range(N_INIT):
-            _, _, sse, iters = clustering._lloyd(pts, k, rng, 300)
+            _, _, sse, iters = clustering._lloyd(pts, k, rng)
             assert iters == 1
             assert sse == [0.0]
         a = kmeans(pts, k, seed=0)
@@ -206,7 +207,7 @@ class TestKmeans:
         k = data.draw(st.integers(1, n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         for _ in range(N_INIT):
-            assert clustering._lloyd(pts, k, rng, 300)[3] < 300
+            assert clustering._lloyd(pts, k, rng)[3] < MAX_ITERS
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -246,10 +247,6 @@ class TestKmeans:
     def test_id_count_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="got 2 ids for 3 points"):
             kmeans(np.zeros((3, 1)), 1, seed=0, ids=["a", "b"])
-
-    def test_bad_max_iters_rejected(self):
-        with pytest.raises(ValidationError, match="max_iters"):
-            kmeans(np.zeros((3, 1)), 1, seed=0, max_iters=0)
 
 
 class TestClusterClips:

@@ -143,7 +143,7 @@ class TestHandCases:
                                        learning_rate=0.4, min_samples_leaf=1))
         assert model.base_score == 3.25
         assert np.all(predict(model, X) == 3.25)
-        assert predict(model, [100.0, -100.0]) == 3.25
+        assert predict(model, [[100.0, -100.0]]).tolist() == [3.25]
 
     def test_zero_trees_predict_the_mean(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -264,8 +264,8 @@ class TestPrediction:
         y = rng.normal(size=10)
         model = train(X, y, GbrtParams(num_trees=5, max_depth=2))
         batch = predict(model, X)
-        for i, row in enumerate(X):
-            assert predict(model, row) == batch[i]
+        for i in range(len(X)):
+            assert predict(model, X[i:i + 1]).tolist() == [batch[i]]
 
     def test_permutation_of_training_rows_changes_nothing(self):
         rng = np.random.default_rng(5)
@@ -296,12 +296,12 @@ class TestPrediction:
         with pytest.raises(ValidationError, match="rows contain"):
             predict(model, rows)
         with pytest.raises(ValidationError, match="rows contain"):
-            predict(model, rows[1])
+            predict(model, rows[1:2])
 
-    @pytest.mark.parametrize("shape", [(), (2, 3, 1)])
+    @pytest.mark.parametrize("shape", [(), (2, 3, 1), (3,)])
     def test_rows_of_other_rank_rejected(self, shape):
         model = train(np.zeros((4, 3)), np.ones(4), GbrtParams(num_trees=0))
-        with pytest.raises(ValidationError, match="1-D or 2-D"):
+        with pytest.raises(ValidationError, match="rows must be 2-D"):
             predict(model, np.zeros(shape))
 
     def test_no_features_and_no_rows(self):
@@ -384,8 +384,8 @@ class TestPredictMatchesTreeWalk:
             wide[::2, ::3] = rows
             rows = wide[::2, ::3]
         assert np.array_equal(predict(model, rows), expected)
-        for i, row in enumerate(rows):
-            assert predict(model, row) == expected[i]
+        for i in range(len(rows)):
+            assert predict(model, rows[i:i + 1]).tolist() == [expected[i]]
 
     def test_hand_tree_deeper_than_max_depth(self):
         # a chain of four splits on feature 0 under params.max_depth = 1
@@ -502,7 +502,7 @@ class TestStages:
                             model.num_features, stages=(3, 2))
         margin = predict(earlier, X)
         assert np.array_equal(predict(model, X, margin=margin), predict(model, X))
-        assert predict(model, X[7], margin=margin[7]) == predict(model, X[7])
+        assert predict(model, X[7:8], margin=margin[7:8]) == predict(model, X[7:8])
 
     def test_margin_of_wrong_length_rejected(self):
         model, X, y = staged_model()

@@ -55,8 +55,6 @@ def random_order(corpus, rng, size=None):
 class TestBp:
     def test_two_of_four_hand_case(self):
         pred = Forecast("BP", *one_task_per_clip(4)).at([2.0, 4.0])
-        assert pred.system == "BP"
-        assert pred.c == 0.5
         assert pred.t_bar == 3.0
         assert pred.T_hat == 6.0
         assert pred.t_hat.tolist() == [3.0, 3.0]
@@ -98,8 +96,6 @@ class TestBp:
 class TestCp:
     def test_two_cluster_hand_case(self):
         pred = cp_predict([0, 1] * 10, [2.0, 10.0] * 5)
-        assert pred.system == "CP"
-        assert pred.c == 0.5
         assert pred.t_hat.tolist() == [2.0, 10.0] * 5
         assert pred.T_hat == 60.0
 
@@ -107,7 +103,7 @@ class TestCp:
         pred = cp_predict([0] * 5 + [1] * 5, [2.0, 6.0])
         assert pred.t_hat.tolist() == [4.0] * 8
         assert pred.T_hat == pytest.approx(32.0, rel=1e-12)
-        fallback_part = (1.0 - pred.c) * 5 * pred.t_hat[-1]
+        fallback_part = (1.0 - 2 / 10) * 5 * pred.t_hat[-1]
         assert fallback_part == pytest.approx(16.0, rel=1e-12)
 
     def test_single_cluster_reduces_to_bp_bitwise(self):
@@ -122,7 +118,6 @@ class TestCp:
             bp = Forecast("BP", corpus, order).at(times)
             cp = Forecast("CP", corpus, order, assignment=assignment).at(times)
             assert cp.T_hat == bp.T_hat
-            assert cp.c == bp.c
             assert cp.t_hat.tolist() == bp.t_hat.tolist()
 
     def test_per_task_values_follow_cluster_membership(self):
@@ -191,10 +186,8 @@ class TestXp:
         y = rng.normal(size=30)
         model = train(X, y, GbrtParams(num_trees=6, max_depth=2))
         remaining = {f"t{i}": rng.normal(size=2).tolist() for i in range(12)}
-        pred = xp_predict(model, remaining, c=0.25, system="CXP")
-        assert pred.system == "CXP"
-        assert pred.c == 0.25
-        per_task = [math.exp(predict(model, row)) for row in remaining.values()]
+        pred = xp_predict(model, remaining)
+        per_task = [math.exp(predict(model, [row])[0]) for row in remaining.values()]
         # scalar libm exp and the vectorized exp may disagree in the last bit
         for got, v in zip(pred.t_hat.tolist(), per_task):
             assert got == pytest.approx(v, rel=1e-15)
@@ -225,10 +218,7 @@ class TestPredictRemaining:
         model = train(X[:1], y[:1], params)
         for end in (2, 4, 8, 15):
             model = add_stage(model, X[:end], y[:end], 1, predict(model, X[:end]))
-        expected = xp_predict(model, {i: X[i] for i in range(15, 40)}, c=15 / 40,
-                              system="CXP")
-        assert pred.system == "CXP"
-        assert pred.c == expected.c
+        expected = xp_predict(model, {i: X[i] for i in range(15, 40)})
         assert pred.T_hat == expected.T_hat
         assert np.array_equal(pred.t_hat, expected.t_hat)
         assert pred.model.stages == (4, 1, 1, 1, 1)
@@ -237,7 +227,6 @@ class TestPredictRemaining:
     def test_fitted_model_used_as_is(self):
         model = constant_model(math.log(2.0), num_features=9)
         pred = Forecast("GXP", *one_task_per_clip(3), model=model).at([])
-        assert pred.c == 0.0
         assert pred.t_hat.tolist() == pytest.approx([2.0] * 3, rel=1e-15)
         assert pred.model is model
 

@@ -129,6 +129,15 @@ class TestRunEncode:
         assert info.value.exit_code == 3
         assert info.value.log_path.endswith(".log")
 
+    def test_encode_killed_by_sigint_interrupts(self, tmp_path):
+        corpus, input_dir = small_corpus(tmp_path, n_clips=1)
+        task, clip = corpus.tasks[0], corpus.clips[0]
+        ctrl_c = CommandTemplate(
+            f"{PY} -c 'import os, signal; os.kill(os.getpid(), signal.SIGINT)'")
+        with pytest.raises(KeyboardInterrupt):
+            run_encode(task, clip, ctrl_c,
+                       input_dir / f"{clip.clip_id}.yuv", tmp_path / "scratch")
+
     def test_missing_binary_raises(self, tmp_path):
         corpus, input_dir = small_corpus(tmp_path, n_clips=1)
         task, clip = corpus.tasks[0], corpus.clips[0]
@@ -293,6 +302,20 @@ class TestBatchEncode:
         lines = manifest.read_text().splitlines()
         assert lines[0] == "task_id"
         assert set(lines[1:]) == {t.task_id for t in corpus.tasks}
+
+    def test_run_without_failures_removes_the_manifest(self, tmp_path):
+        corpus, input_dir = small_corpus(tmp_path)
+        times_path = tmp_path / "times.csv"
+        fail_27 = CommandTemplate(
+            f"{PY} -c 'import sys; sys.exit(sys.argv[1] == \"27\")' {{cqp}}")
+        summary = batch_encode(corpus, fail_27, input_dir, times_path, tmp_path / "scratch")
+        assert summary.succeeded == 2 and len(summary.failed) == 2
+        manifest = tmp_path / "times.csv.failures.csv"
+        assert manifest.read_text().splitlines()[1:] == list(summary.failed)
+        summary = batch_encode(corpus, NOOP, input_dir, times_path, tmp_path / "scratch")
+        assert summary.skipped == 2 and summary.succeeded == 2 and summary.failed == ()
+        assert len(load_times_csv(times_path)) == 4
+        assert not manifest.exists()
 
     def test_fail_fast_aborts_the_rest(self, tmp_path):
         corpus, input_dir = small_corpus(tmp_path)
