@@ -451,7 +451,8 @@ COMMANDS = {
     "cluster": ("k-means over standardized clip features", _cluster_flags),
     "encode": ("run encode commands and record wall-clock times", _encode_flags),
     "simulate": ("Monte-Carlo sweep of the predictors over corpus orderings", _simulate_flags),
-    "predict": ("predict remaining wall-clock time for a corpus", _predict_flags),
+    "predict": ("sum the queued tasks' predicted encode seconds: the wall-clock time "
+                "left when encode runs one task at a time", _predict_flags),
     "report": ("render a sweep report CSV", _report_flags),
 }
 

@@ -9,17 +9,18 @@ any permutation of the training set.
 
 The search is presorted and partitioned.  Each feature is argsorted once per
 fit.  Every node owns a matrix holding its rows in each feature's sorted
-order, plus a row in canonical order.  A split partitions every row of that
-matrix stably by one lookup of each row's side, so the children arrive
-already sorted and no node touches rows outside itself.  A child that is
-certain to be a leaf (its parent sits one level above ``max_depth``, or it
-has fewer than ``2 * min_samples_leaf`` rows) takes only its canonical row,
-without partitioning the whole matrix.  Within a node, one cumulative sum
-per feature gives the left sums at every sorted position, and only positions
-where the value changes and both children keep ``min_samples_leaf`` rows are
-scored.  Each feature sums its residuals in its own sorted order, with no
-binning, so every score is bit-identical to a direct sweep over the node's
-sorted rows.
+order, plus a row in canonical order.  A split found at sorted position p of
+one feature sends the first p + 1 rows of that feature's order left, so no
+row is compared with the threshold; the matrix is partitioned stably by one
+lookup of each row's side, so the children arrive already sorted and no node
+touches rows outside itself.  A child that is certain to be a leaf (its
+parent sits one level above ``max_depth``, or it has fewer than
+``2 * min_samples_leaf`` rows) takes only its canonical row.  Within a node,
+one cumulative sum per feature gives the left sums at every sorted position,
+and only positions where the value changes and both children keep
+``min_samples_leaf`` rows are scored.  Each feature sums its residuals in its
+own sorted order, with no binning, so every score is bit-identical to a
+direct sweep over the node's sorted rows.
 
 Prediction walks all rows down a tree together, one level per step.  Leaves
 act as self-loops, so each step is the same few gathers over every row, and
@@ -120,18 +121,17 @@ def feature_matrix(corpus: Corpus, task_ids: Sequence[str]) -> np.ndarray:
 class _TreeBuilder:
     """Grows trees on residuals over one fixed training matrix.
 
-    A node holds an (F+1, m) int32 matrix of its rows: row f lists them in
+    A node holds an (F+1, m) intp matrix of its rows: row f lists them in
     feature f's presorted order, the last row in canonical row order.
     """
 
     def __init__(self, X: np.ndarray, params: GbrtParams):
         n, num_features = X.shape
         self.values = np.ascontiguousarray(X.T).ravel()  # feature-major
-        self.cols = self.values.reshape(num_features, n)
         self.offsets = np.arange(num_features, dtype=np.intp)[:, None] * n
         self.params = params
         self.side = np.empty(n, dtype=bool)  # split side of each row, by row id
-        self.root = np.empty((num_features + 1, n), dtype=np.int32)
+        self.root = np.empty((num_features + 1, n), dtype=np.intp)
         self.root[:num_features] = np.argsort(X, axis=0, kind="stable").T
         self.root[num_features] = np.arange(n)
 
@@ -181,28 +181,28 @@ class _TreeBuilder:
             return self._leaf(member)
 
         node = self._new_node()
-        feat, thr = split
+        feat, thr, n_left = split
         self.feature[node] = feat
         self.threshold[node] = thr
-        go_left = self.cols[feat].take(member) <= thr
+        self.side[rows[feat, :n_left]] = True
+        self.side[rows[feat, n_left:]] = False
         m = member.size
-        n_left = int(np.count_nonzero(go_left))
         depth += 1
         split_left = self._can_split(depth, n_left)
         split_right = self._can_split(depth, m - n_left)
-        if split_left or split_right:
-            # Stable partition: each child's rows keep their sorted order.  A
-            # child that is certain to be a leaf needs only its member row.
-            self.side[member] = go_left
-            by_side = self.side[rows]
+        # Stable partition: each child's rows keep their sorted order.  A child
+        # that is certain to be a leaf needs only its member row.
+        by_side = self.side[rows if split_left or split_right else rows[-1:]]
+        go_left = by_side[-1]
         self.left[node] = (self._grow(rows[by_side].reshape(len(rows), n_left), depth)
                            if split_left else self._leaf(member[go_left]))
         self.right[node] = (self._grow(rows[~by_side].reshape(len(rows), m - n_left), depth)
                             if split_right else self._leaf(member[~go_left]))
         return node
 
-    def _best_split(self, rows: np.ndarray) -> tuple[int, float] | None:
-        """Exhaustive search maximizing the SSE reduction of the split.
+    def _best_split(self, rows: np.ndarray) -> tuple[int, float, int] | None:
+        """Exhaustive search maximizing the SSE reduction of the split, as
+        (feature, threshold, count of rows at the front of its order going left).
 
         For squared error the reduction is (sum_L)^2/n_L + (sum_R)^2/n_R minus
         the parent term, so it suffices to maximize the children's score.
@@ -237,16 +237,14 @@ class _TreeBuilder:
         feat, p = int(feats[j]), int(pos[j])
         below, above = float(sv[feat, p]), float(sv[feat, p + 1])
         thr = (below + above) / 2.0
-        if thr == above:  # midpoint rounded up to the right value
+        if not below <= thr < above:  # midpoint rounded up to the right value, or overflowed
             thr = below
-        return feat, thr
+        return feat, thr, p + 1
 
 
 def _training_set(rows, targets) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(rows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     if X.ndim != 2:
         raise ValidationError(f"rows must be 2-D, got shape {X.shape}")
     if X.shape[0] != y.shape[0]:

@@ -209,7 +209,8 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
     inputs = {t.task_id: resolve_input(input_dir, t.clip_id) for t in pending}
 
     lock = threading.Lock()
-    stop = threading.Event()
+    stop = threading.Event()  # start no more tasks
+    interrupted = threading.Event()  # and record none that are running
     failures: list[str] = []
     succeeded = 0
     aborted = 0
@@ -240,6 +241,8 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
                     stop.set()
                 return
             with lock:
+                if interrupted.is_set():  # the encode was cut short, not finished
+                    return
                 writer.writerow([result.task_id, float_text(result.seconds)])
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -250,7 +253,15 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
                 work(task)
         else:
             with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                list(pool.map(work, pending))
+                try:
+                    list(pool.map(work, pending))
+                except KeyboardInterrupt:
+                    # Ctrl-C reached the running encoders too, and one that
+                    # traps it may still exit 0: record none of them.  This
+                    # runs before the pool's shutdown waits for them.
+                    interrupted.set()
+                    stop.set()
+                    raise
 
     # the manifest lists this run's failures only: a run without any removes it
     manifest = times_path.with_name(times_path.name + ".failures.csv")

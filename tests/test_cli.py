@@ -419,21 +419,27 @@ class TestEncode:
         assert list(load_times_csv(tmp_path / "times.csv")) == \
             [t.task_id for t in corpus.tasks[1:3]]
 
-    @pytest.mark.parametrize("concurrency", ["1", "2"])
-    def test_ctrl_c_exits_130_with_one_line(self, tmp_path, concurrency):
-        # clip-major order: each clip's cqp-22 task finishes at once, and its
-        # cqp-27 task creates its output and then hangs until interrupted
-        corpus = make_corpus(n_clips=2, encoders=("x264",), presets=("medium",), cqps=(22, 27))
-        hang = (f"{PY} -c \"import sys, time; open(sys.argv[2], 'w').close(); "
+    def interrupt_hanging_encode(self, tmp_path, concurrency, on_sigint=""):
+        """Ctrl-C an encode once each worker's encode hangs; returns the corpus
+        and the encode's argv.
+
+        Clip-major order: each clip's cqp-22 task finishes at once, and its
+        cqp-27 task creates its output and then hangs until interrupted.
+        ``on_sigint`` is stand-in code that runs first, to trap the signal.
+        """
+        hanging = int(concurrency)
+        corpus = make_corpus(n_clips=max(2, hanging), encoders=("x264",),
+                             presets=("medium",), cqps=(22, 27))
+        hang = (f"{PY} -c \"import signal, sys, time; {on_sigint}"
+                f"open(sys.argv[2], 'w').close(); "
                 f"time.sleep(60 if sys.argv[1] == '27' else 0)\" {{cqp}} {{output}}")
-        argv = [PY, "-m", "corpus_eta.cli",
-                *self.encode_argv(tmp_path, corpus, hang, "--concurrency", concurrency)]
+        argv = self.encode_argv(tmp_path, corpus, hang, "--concurrency", concurrency)
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
-        hanging = int(concurrency)
         # its own process group, which a terminal's Ctrl-C signals as a whole
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=env, text=True, start_new_session=True)
+        proc = subprocess.Popen([PY, "-m", "corpus_eta.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env, text=True,
+                                start_new_session=True)
         try:
             deadline = time.monotonic() + 30
             while len(list((tmp_path / "scratch").glob("*27.out"))) < hanging:
@@ -452,6 +458,22 @@ class TestEncode:
         done = load_times_csv(tmp_path / "times.csv")
         assert sorted(done) == sorted(t.task_id for t in corpus.tasks[:2 * hanging:2])
         assert not (tmp_path / "times.csv.failures.csv").exists()
+        return corpus, argv
+
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path, concurrency):
+        self.interrupt_hanging_encode(tmp_path, concurrency)
+
+    @pytest.mark.parametrize("concurrency", ["1", "2", "4"])
+    def test_ctrl_c_records_no_encode_that_traps_it(self, tmp_path, capsys, concurrency):
+        # like x264, the stand-in ends its file early on SIGINT and exits 0
+        corpus, argv = self.interrupt_hanging_encode(
+            tmp_path, concurrency, "signal.signal(signal.SIGINT, lambda *a: sys.exit(0)); ")
+        argv[argv.index("--template") + 1] = "true"
+        assert main(argv + ["--resume"]) == 0
+        assert f"skipped (already measured): {concurrency}\n" in capsys.readouterr().out
+        assert sorted(load_times_csv(tmp_path / "times.csv")) == \
+            sorted(t.task_id for t in corpus.tasks)
 
     def test_encode_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

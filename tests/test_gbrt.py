@@ -136,6 +136,16 @@ class TestHandCases:
         assert tree.right.tolist() == [2, -1, -1]
         assert tree.value.tolist() == [0.0, -5.0, 5.0]
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_midpoint_overflow_splits_at_the_lower_value(self, sign):
+        X = sign * np.array([[1e308], [1e308], [1.5e308], [1.5e308]])
+        y = np.array([0.0, 0.0, 4.0, 4.0])
+        model = train(X, y, GbrtParams(num_trees=1, max_depth=1,
+                                       learning_rate=1.0, min_samples_leaf=1))
+        assert model.trees[0].threshold[0] == min(X[:, 0])
+        assert np.array_equal(predict(model, X), y)
+        assert model_to_dict(model_from_dict(model_to_dict(model))) == model_to_dict(model)
+
     def test_constant_target_reproduced_exactly(self):
         X = np.arange(12.0).reshape(6, 2)
         y = np.full(6, 3.25)
@@ -279,13 +289,14 @@ class TestPrediction:
         probe = rng.normal(size=(8, 3))
         assert np.array_equal(predict(model_a, probe), predict(model_b, probe))
 
-    def test_one_dimensional_rows_mean_one_feature(self):
+    def test_one_dimensional_training_rows_rejected(self):
         x = np.array([1.0, 2.0, 3.0, 8.0, 9.0, 10.0])
         y = np.array([0.0, 0.0, 0.0, 4.0, 4.0, 4.0])
-        model = train(x, y, GbrtParams(num_trees=1, max_depth=1,
-                                       learning_rate=1.0, min_samples_leaf=1))
-        assert model.num_features == 1
-        assert np.array_equal(predict(model, x.reshape(-1, 1)), y)
+        with pytest.raises(ValidationError, match="rows must be 2-D"):
+            train(x, y)
+        model = train(x.reshape(-1, 1), y, GbrtParams(num_trees=1))
+        with pytest.raises(ValidationError, match="rows must be 2-D"):
+            add_stage(model, x, y, 1, predict(model, x.reshape(-1, 1)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rows_rejected(self, bad):
@@ -418,7 +429,7 @@ class TestSerialization:
         assert model_to_dict(loaded) == model_to_dict(model)
 
     def test_a_failed_save_keeps_the_old_model(self, tmp_path, monkeypatch):
-        model = train(np.arange(8.0), np.arange(8.0), GbrtParams(num_trees=2))
+        model = train(np.arange(8.0).reshape(-1, 1), np.arange(8.0), GbrtParams(num_trees=2))
         path = tmp_path / "model.json"
         save_model(path, model)
         before = path.read_bytes()
@@ -440,7 +451,7 @@ class TestSerialization:
         assert model_from_dict(doc).train_mse == ()
 
     def test_document_is_plain_json(self, tmp_path):
-        model = train(np.arange(8.0), np.arange(8.0), GbrtParams(num_trees=2))
+        model = train(np.arange(8.0).reshape(-1, 1), np.arange(8.0), GbrtParams(num_trees=2))
         path = tmp_path / "m.json"
         save_model(path, model)
         doc = json.loads(path.read_text())
@@ -480,9 +491,10 @@ def staged_model():
 
 class TestStages:
     def test_single_fit_is_one_stage(self):
-        model = train(np.arange(8.0), np.arange(8.0), GbrtParams(num_trees=3))
+        X = np.arange(8.0).reshape(-1, 1)
+        model = train(X, np.arange(8.0), GbrtParams(num_trees=3))
         assert model.stages == (3,)
-        assert train(np.arange(8.0), np.arange(8.0), GbrtParams(num_trees=0)).stages == ()
+        assert train(X, np.arange(8.0), GbrtParams(num_trees=0)).stages == ()
 
     def test_stage_continues_from_the_margin(self):
         model, X, y = staged_model()
