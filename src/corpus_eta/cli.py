@@ -32,7 +32,7 @@ USAGE_EXIT = 64
 
 
 # Nothing here calls these; perfbench/tracing.py wraps them as attributes of
-# this module, so the first lookup of each imports it. ROADMAP item 1 deletes
+# this module, so the first lookup of each imports it. ROADMAP item 5 deletes
 # them.
 def __getattr__(name: str):
     if name in ("train", "feature_matrix"):

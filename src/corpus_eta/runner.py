@@ -11,12 +11,13 @@ import csv
 import glob as globmod
 import logging
 import os
+import queue
 import shlex
 import signal
 import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -93,7 +94,8 @@ def task_mapping(task: EncodeTask, clip: Clip, input_path, output_path) -> dict:
 
 
 def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
-               input_path, scratch_dir, keep_output: bool = False) -> EncodeResult:
+               input_path, scratch_dir, keep_output: bool = False,
+               running: set[subprocess.Popen] | None = None) -> EncodeResult:
     """Run one encode and time it with the monotonic clock.
 
     stdout/stderr land in a per-task log under scratch_dir; the encoded
@@ -101,6 +103,7 @@ def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
     a failure to launch raises EncodeError pointing at the log. An encode
     killed by SIGINT raises KeyboardInterrupt: a Ctrl-C reaches the whole
     process group, so the batch is being interrupted, not the task failing.
+    The process is in ``running`` until it is reaped, for a batch to kill.
     """
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
@@ -108,14 +111,18 @@ def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
     output_path = scratch / f"{stem}.out"
     log_path = scratch / f"{stem}.log"
     argv = template.render(task_mapping(task, clip, input_path, output_path))
+    running = set() if running is None else running
 
     with open(log_path, "w", encoding="utf-8") as log:
         start = time.monotonic()
         try:
-            proc = subprocess.run(argv, stdout=log, stderr=subprocess.STDOUT)
+            proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT)
         except OSError as exc:
             raise EncodeError(f"could not launch {argv[0]!r}: {exc}",
                               task_id=task.task_id, log_path=str(log_path)) from exc
+        running.add(proc)
+        proc.wait()
+        running.discard(proc)
         elapsed = time.monotonic() - start
 
     if proc.returncode == -signal.SIGINT:
@@ -126,10 +133,7 @@ def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
             task_id=task.task_id, exit_code=proc.returncode, log_path=str(log_path))
 
     if not keep_output:
-        try:
-            output_path.unlink()
-        except FileNotFoundError:
-            pass
+        output_path.unlink(missing_ok=True)
 
     suspect = elapsed < SUSPECT_SECONDS
     if suspect:
@@ -189,9 +193,10 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
     """Encode every pending task, appending one time row per success.
 
     Tasks whose ids already appear in times_path are skipped, so re-running
-    after an interruption never duplicates a measurement. Each row is written
-    and flushed under a lock the moment its task finishes; a final row cut
-    short by a crash is dropped, so its task runs again.
+    after an interruption never duplicates a measurement; a final row cut
+    short by a crash is dropped, so its task runs again. The calling thread
+    alone writes and fsyncs each finished encode's row (in corpus order with
+    one worker). Any exception, SIGINT too, kills the running encodes unrecorded.
     """
     if concurrency < 1:
         raise ValidationError(f"concurrency must be >= 1, got {concurrency}")
@@ -203,73 +208,67 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
         _drop_torn_final_row(times_path)
         done = set(load_times_csv(times_path))
     pending = [t for t in todo_all if t.task_id not in done]
-    skipped = len(todo_all) - len(pending)
 
     # inputs are resolved up front so a bad corpus fails before any encode runs
     inputs = {t.task_id: resolve_input(input_dir, t.clip_id) for t in pending}
 
-    lock = threading.Lock()
     stop = threading.Event()  # start no more tasks
-    interrupted = threading.Event()  # and record none that are running
+    running: set[subprocess.Popen] = set()
     failures: list[str] = []
     succeeded = 0
-    aborted = 0
 
-    new_file = not times_path.exists() or times_path.stat().st_size == 0
-    with open(times_path, "a", newline="", encoding="utf-8") as fh:
+    def work(task: EncodeTask) -> EncodeResult | EncodeError | None:
+        if stop.is_set():
+            return None
+        try:
+            return run_encode(task, corpus.clip(task.clip_id), template,
+                              inputs[task.task_id], scratch_dir,
+                              keep_output, running)
+        except EncodeError as exc:
+            if fail_fast:  # before this worker takes its next task
+                stop.set()
+            return exc
+
+    finished = queue.SimpleQueue()  # futures, in completion order
+    with open(times_path, "a", newline="", encoding="utf-8") as fh, \
+            ThreadPoolExecutor(max_workers=concurrency) as pool:
         writer = csv.writer(fh)
-        if new_file:
+        if fh.tell() == 0:
             writer.writerow(TIMES_HEADER)
             fh.flush()
-
-        def work(task: EncodeTask) -> None:
-            nonlocal succeeded, aborted
-            if stop.is_set():
-                with lock:
-                    aborted += 1
-                return
-            try:
-                result = run_encode(task, corpus.clip(task.clip_id), template,
-                                    inputs[task.task_id], scratch_dir,
-                                    keep_output=keep_output)
-            except EncodeError as exc:
-                logger.error("task %s failed: %s (log: %s)",
-                             task.task_id, exc, exc.log_path)
-                with lock:
-                    failures.append(task.task_id)
-                if fail_fast:
-                    stop.set()
-                return
-            with lock:
-                if interrupted.is_set():  # the encode was cut short, not finished
-                    return
-                writer.writerow([result.task_id, float_text(result.seconds)])
-                fh.flush()
-                os.fsync(fh.fileno())
-                succeeded += 1
-
-        if concurrency == 1:
+        futures = []
+        try:
             for task in pending:
-                work(task)
-        else:
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                try:
-                    list(pool.map(work, pending))
-                except KeyboardInterrupt:
-                    # Ctrl-C reached the running encoders too, and one that
-                    # traps it may still exit 0: record none of them.  This
-                    # runs before the pool's shutdown waits for them.
-                    interrupted.set()
-                    stop.set()
-                    raise
+                futures.append(pool.submit(work, task))
+                futures[-1].add_done_callback(finished.put)
+            for _ in pending:
+                result = finished.get().result()
+                if isinstance(result, EncodeError):
+                    logger.error("task %s failed: %s (log: %s)",
+                                 result.task_id, result, result.log_path)
+                    failures.append(result.task_id)
+                elif result is not None:
+                    writer.writerow([result.task_id, float_text(result.seconds)])
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                    succeeded += 1
+        except BaseException:
+            # record nothing more; kill until the workers are idle, as one may launch
+            # after a kill pass, and a SIGINT to this process alone spares encoders
+            stop.set()
+            while futures:
+                for proc in list(running):
+                    proc.kill()
+                futures = wait(futures, timeout=0.05).not_done
+            raise
+        finally:
+            # the manifest lists this run's failures only: a run without any removes it
+            manifest = times_path.with_name(times_path.name + ".failures.csv")
+            if failures:
+                write_csv(manifest, ["task_id"], ([tid] for tid in failures))
+            else:
+                manifest.unlink(missing_ok=True)
 
-    # the manifest lists this run's failures only: a run without any removes it
-    manifest = times_path.with_name(times_path.name + ".failures.csv")
-    if failures:
-        write_csv(manifest, ["task_id"], ([tid] for tid in failures))
-    else:
-        manifest.unlink(missing_ok=True)
-
-    return BatchSummary(requested=len(todo_all), skipped=skipped,
+    return BatchSummary(requested=len(todo_all), skipped=len(todo_all) - len(pending),
                         succeeded=succeeded, failed=tuple(failures),
-                        aborted=aborted)
+                        aborted=len(pending) - succeeded - len(failures))

@@ -419,13 +419,15 @@ class TestEncode:
         assert list(load_times_csv(tmp_path / "times.csv")) == \
             [t.task_id for t in corpus.tasks[1:3]]
 
-    def interrupt_hanging_encode(self, tmp_path, concurrency, on_sigint=""):
-        """Ctrl-C an encode once each worker's encode hangs; returns the corpus
+    def interrupt_hanging_encode(self, tmp_path, concurrency, on_sigint="", send=os.killpg):
+        """SIGINT an encode once each worker's encode hangs; returns the corpus
         and the encode's argv.
 
         Clip-major order: each clip's cqp-22 task finishes at once, and its
         cqp-27 task creates its output and then hangs until interrupted.
         ``on_sigint`` is stand-in code that runs first, to trap the signal.
+        ``send`` is ``os.killpg`` for a terminal's Ctrl-C, which signals the
+        whole process group, or ``os.kill`` to signal ``corpus-eta`` alone.
         """
         hanging = int(concurrency)
         corpus = make_corpus(n_clips=max(2, hanging), encoders=("x264",),
@@ -445,8 +447,11 @@ class TestEncode:
             while len(list((tmp_path / "scratch").glob("*27.out"))) < hanging:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
-            os.killpg(proc.pid, signal.SIGINT)
+            send(proc.pid, signal.SIGINT)
+            sent = time.monotonic()
             _, err = proc.communicate(timeout=10)
+            waited = time.monotonic() - sent
+            # no encoder is left in the group, running or as a zombie
             with pytest.raises(ProcessLookupError):
                 os.killpg(proc.pid, 0)
         finally:
@@ -454,6 +459,7 @@ class TestEncode:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         assert proc.returncode == 130
+        assert waited < 5
         assert err.splitlines() == ["corpus-eta: interrupted"]
         done = load_times_csv(tmp_path / "times.csv")
         assert sorted(done) == sorted(t.task_id for t in corpus.tasks[:2 * hanging:2])
@@ -474,6 +480,11 @@ class TestEncode:
         assert f"skipped (already measured): {concurrency}\n" in capsys.readouterr().out
         assert sorted(load_times_csv(tmp_path / "times.csv")) == \
             sorted(t.task_id for t in corpus.tasks)
+
+    @pytest.mark.parametrize("concurrency", ["1", "2", "4"])
+    def test_sigint_to_encode_alone_stops_running_encodes(self, tmp_path, concurrency):
+        # as from `kill -INT` or a supervisor: the encoders get no signal themselves
+        self.interrupt_hanging_encode(tmp_path, concurrency, send=os.kill)
 
     def test_encode_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Encode runner: templating, timing, resume bookkeeping, failure handling."""
 
 import csv
+import os
 import sys
 import time
 
@@ -19,6 +20,7 @@ PY = sys.executable
 SLEEP_HALF = CommandTemplate(f"{PY} -c 'import time; time.sleep(0.5)'")
 NOOP = CommandTemplate("true")
 FAIL3 = CommandTemplate(f"{PY} -c 'import sys; sys.exit(3)'")
+FAIL_27 = CommandTemplate(f"{PY} -c 'import sys; sys.exit(sys.argv[1] == \"27\")' {{cqp}}")
 
 
 def small_corpus(tmp_path, n_clips=2):
@@ -306,9 +308,7 @@ class TestBatchEncode:
     def test_run_without_failures_removes_the_manifest(self, tmp_path):
         corpus, input_dir = small_corpus(tmp_path)
         times_path = tmp_path / "times.csv"
-        fail_27 = CommandTemplate(
-            f"{PY} -c 'import sys; sys.exit(sys.argv[1] == \"27\")' {{cqp}}")
-        summary = batch_encode(corpus, fail_27, input_dir, times_path, tmp_path / "scratch")
+        summary = batch_encode(corpus, FAIL_27, input_dir, times_path, tmp_path / "scratch")
         assert summary.succeeded == 2 and len(summary.failed) == 2
         manifest = tmp_path / "times.csv.failures.csv"
         assert manifest.read_text().splitlines()[1:] == list(summary.failed)
@@ -316,6 +316,52 @@ class TestBatchEncode:
         assert summary.skipped == 2 and summary.succeeded == 2 and summary.failed == ()
         assert len(load_times_csv(times_path)) == 4
         assert not manifest.exists()
+
+    @pytest.mark.parametrize("failing", ["clip000", "none"])
+    def test_interrupted_run_manifest_lists_its_own_failures(self, tmp_path, failing):
+        corpus, input_dir = small_corpus(tmp_path)
+        times_path = tmp_path / "times.csv"
+        batch_encode(corpus, FAIL_27, input_dir, times_path, tmp_path / "scratch")
+        manifest = tmp_path / "times.csv.failures.csv"
+        assert len(manifest.read_text().splitlines()) == 3
+        # the resume fails `failing`'s cqp-27 task again, then a Ctrl-C cuts it short
+        ctrl_c = CommandTemplate(
+            f"{PY} -c 'import os, signal, sys; sys.argv[1] == \"{failing}\" and sys.exit(3); "
+            f"os.kill(os.getpid(), signal.SIGINT)' {{clip_id}}")
+        with pytest.raises(KeyboardInterrupt):
+            batch_encode(corpus, ctrl_c, input_dir, times_path, tmp_path / "scratch")
+        failed = [t.task_id for t in corpus.tasks if t.clip_id == failing and t.cqp == 27]
+        if failed:
+            assert manifest.read_text().splitlines() == ["task_id", *failed]
+        else:
+            assert not manifest.exists()
+
+    def test_interrupt_kills_and_reaps_every_running_encode(self, tmp_path):
+        # The first encode Ctrl-C's itself; the rest hang. Its worker is then free
+        # to launch the next encode while the interrupt is being handled: more
+        # workers than cores and frequent thread switches make that likely.
+        corpus, input_dir = small_corpus(tmp_path, n_clips=8)
+        template = CommandTemplate(
+            f"{PY} -c 'import os, signal, sys, time; "
+            f"open(sys.argv[2], \"w\").write(str(os.getpid())); "
+            f"time.sleep(0.2 if sys.argv[1] == \"{corpus.tasks[0].task_id}\" else 30); "
+            f"os.kill(os.getpid(), signal.SIGINT)' {{task_id}} {{output}}")
+        times_path, scratch = tmp_path / "times.csv", tmp_path / "scratch"
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                batch_encode(corpus, template, input_dir, times_path, scratch, concurrency=6)
+        finally:
+            sys.setswitchinterval(switch)
+        assert time.monotonic() - start < 10
+        pids = [int(text) for text in (p.read_text() for p in scratch.glob("*.out")) if text]
+        assert len(pids) >= 6
+        for pid in pids:  # neither running nor a zombie
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert load_times_csv(times_path) == {}
 
     def test_fail_fast_aborts_the_rest(self, tmp_path):
         corpus, input_dir = small_corpus(tmp_path)
