@@ -71,6 +71,16 @@ def _hms(seconds: float) -> str:
     return str(datetime.timedelta(seconds=round(seconds)))
 
 
+def _require_out_dirs(args, *names: str) -> None:
+    """Fail before any work when the directory of an output file does not exist,
+    so that a command does not leave some of its outputs and then fail."""
+    for name in names:
+        path = getattr(args, name)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"--{name.replace('_', '-')}: directory of {path} "
+                                  "does not exist")
+
+
 def _save_corpus_dir(corpus, out_dir) -> None:
     """features.csv, tasks.csv and (when measured) times.csv under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -108,6 +118,7 @@ def _infer_num_frames(path, width: int, height: int) -> int:
 def cmd_analyze(args) -> int:
     from . import complexity
     # checked before any frame is read, so a bad request costs no DCT work
+    _require_out_dirs(args, "frames_out", "features_out")
     if args.width < 1 or args.height < 1:
         raise ValidationError(f"frame size must be positive, got {args.width}x{args.height}")
     if args.framerate_num < 1 or args.framerate_den < 1:
@@ -146,6 +157,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _require_out_dirs(args, "out", "centroids_out")
     clips = load_features_csv(args.features)
     assignment = cluster_clips(clips, k=args.k, seed=args.seed)
     save_clusters_csv(args.out, assignment)
@@ -195,10 +207,7 @@ def cmd_simulate(args) -> int:
     from . import harness, metrics
     # checked before the corpus is built or written and before the sweep,
     # which can run for minutes
-    for flag, path in (("--report-out", args.report_out),
-                       ("--realisations-out", args.realisations_out)):
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValidationError(f"{flag}: directory of {path} does not exist")
+    _require_out_dirs(args, "report_out", "realisations_out")
     if args.synthetic:
         spec = harness.SynthSpec(n_clips=args.n_clips,
                                  encoders=tuple(args.encoders or harness.SynthSpec.encoders),
@@ -235,8 +244,8 @@ def cmd_simulate(args) -> int:
 def cmd_predict(args) -> int:
     """One-shot prediction: the completed tasks in times.csv row order, which is
     the order they finished, then the queued ones in corpus order."""
-    from . import config, gbrt, predictors
-    cascade = config.load_config(args.config)
+    from . import gbrt, predictors
+    _require_out_dirs(args, "model_out", "per_task_out")
     corpus = load_corpus(args.features, times_path=args.times, tasks_path=args.tasks,
                          encoders=args.encoders)
     times = corpus.times or {}
@@ -245,7 +254,20 @@ def cmd_predict(args) -> int:
     if not queued:
         raise ValidationError("every task already has a measured time; nothing to predict")
     c = len(done) / corpus.N
-    system = args.system or predictors.cascade_select(cascade, c)
+    picked = None
+    if args.report is not None:
+        from . import metrics
+        # XP runs on times.csv row order, not on the cxp order CXP's rows graded
+        runnable = {"BP", "CP", "XP"} if done else set()
+        if args.model_in is not None:
+            runnable.add("GXP")
+        picked = predictors.report_select(metrics.load_report_csv(args.report), c, runnable)
+        if picked is None:
+            raise ValidationError(f"{args.report}: no row names a system that predict "
+                                  f"can run at c={c}")
+        system = picked.system
+    else:
+        system = args.system or predictors.cascade_select(predictors.DEFAULT_CASCADE, c)
     if args.model_out is not None and system in ("BP", "CP"):
         raise ValidationError(f"--model-out: {system} fits no model")
 
@@ -281,6 +303,9 @@ def cmd_predict(args) -> int:
     }
     if result.t_bar is not None:
         doc["mean_completed_seconds"] = result.t_bar
+    if picked is not None:
+        doc["report_c"] = picked.c
+        doc["report_sape"] = picked.sape
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -423,10 +448,13 @@ def _predict_flags(p) -> None:
     p.add_argument("--times", default=None, help="measured times so far")
     p.add_argument("--tasks", default=None)
     p.add_argument("--encoders", nargs="+", default=list(DEFAULT_ENCODERS))
-    p.add_argument("--system", choices=list(predictors.SYSTEMS), default=None,
-                   help="default: the cascade picks one from the completion ratio")
-    p.add_argument("--config", default=None,
-                   help="YAML file with the cascade policy (bounds and systems)")
+    pick = p.add_mutually_exclusive_group()
+    pick.add_argument("--system", choices=list(predictors.SYSTEMS), default=None,
+                      help="default: the cascade picks one from the completion ratio")
+    pick.add_argument("--report", default=None,
+                      help="pick from a simulate report: at the first graded c at or above "
+                           "the job's (else the last), the lowest SAPE of BP, CP and XP once a "
+                           "task is done, and of GXP with --model-in; never CXP")
     p.add_argument("--k", type=int, default=DEFAULT_K,
                    help="clusters for CP (default %(default)s)")
     p.add_argument("--seed", type=_seed, default=0, help="clustering seed (default %(default)s)")

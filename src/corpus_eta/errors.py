@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: bad input data or configuration is a
+The CLI maps these onto exit codes: bad input data or arguments are a
 validation failure (exit 1), anything that breaks mid-run is a runtime
 failure (exit 2).
 """
@@ -16,10 +16,6 @@ class ValidationError(CorpusEtaError):
 
 class CsvParseError(ValidationError):
     """A CSV file could not be parsed; the message names file and row."""
-
-
-class ConfigError(ValidationError):
-    """The config document contains unknown or ill-typed keys."""
 
 
 class PredictionError(ValidationError):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import float_text, parse_field, read_csv, write_csv
-from .errors import ValidationError
+from .errors import CsvParseError, ValidationError
+from .predictors import SYSTEMS
 
 REPORT_HEADER = ["system", "c", "mape", "r2", "sape"]
 
@@ -119,9 +120,28 @@ def write_report_csv(path, rows) -> None:
 
 
 def load_report_csv(path) -> list[ReportRow]:
-    """Read back what write_report_csv produced."""
-    return [ReportRow(system=system, c=parse_field(path, lineno, "c", c, float),
-                      mape=parse_field(path, lineno, "mape", mape, float),
-                      r2=parse_field(path, lineno, "r2", r2, float),
-                      sape=parse_field(path, lineno, "sape", sape, float))
-            for lineno, (system, c, mape, r2, sape) in read_csv(path, REPORT_HEADER)]
+    """Read back what write_report_csv produced.
+
+    The file may come from anywhere, so an unknown system, a c outside
+    [0, 1), a SAPE that is not finite and >= 0, a repeated (system, c) and
+    an empty report each raise a CsvParseError naming the file and row.
+    """
+    rows: list[ReportRow] = []
+    for lineno, (system, c, mape, r2, sape) in read_csv(path, REPORT_HEADER):
+        row = ReportRow(system=system, c=parse_field(path, lineno, "c", c, float),
+                        mape=parse_field(path, lineno, "mape", mape, float),
+                        r2=parse_field(path, lineno, "r2", r2, float),
+                        sape=parse_field(path, lineno, "sape", sape, float))
+        where = f"{path}, row {lineno}"
+        if system not in SYSTEMS:
+            raise CsvParseError(f"{where}: unknown system {system!r}, expected one of {SYSTEMS}")
+        if not 0.0 <= row.c < 1.0:
+            raise CsvParseError(f"{where}: c must be in [0, 1), got {c}")
+        if not 0.0 <= row.sape < math.inf:
+            raise CsvParseError(f"{where}: sape must be finite and >= 0, got {sape}")
+        if any((r.system, r.c) == (system, row.c) for r in rows):
+            raise CsvParseError(f"{where}: a second row for {system} at c={c}")
+        rows.append(row)
+    if not rows:
+        raise CsvParseError(f"{path}: the report has no rows")
+    return rows

@@ -311,3 +311,18 @@ def cascade_select(policy: CascadePolicy, c: float) -> str:
         raise PredictionError(f"cascade defined for 0 <= c < 1, got {c}")
     # the last bound is 1.0, so some bound is >= c
     return next(system for bound, system in policy.thresholds if c <= bound)
+
+
+def report_select(rows, c: float, runnable):
+    """The sweep report row (system, c, sape) that picks the system at c, or None.
+
+    Of the rows whose system is in ``runnable``, take those at the first graded
+    c at or above c, or at the last graded c when c is above them all; the
+    lowest SAPE wins, and on a tie the row listed first.
+    """
+    usable = [row for row in rows if row.system in runnable]
+    if not usable:
+        return None
+    graded = sorted({row.c for row in usable})
+    point = next((g for g in graded if g >= c), graded[-1])
+    return min((row for row in usable if row.c == point), key=lambda row: row.sape)

@@ -7,6 +7,7 @@ as the resume state, so an interrupted batch picks up where it left off.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import glob as globmod
 import logging
@@ -100,10 +101,11 @@ def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
 
     stdout/stderr land in a per-task log under scratch_dir; the encoded
     output is deleted on success unless keep_output is set. Nonzero exit or
-    a failure to launch raises EncodeError pointing at the log. An encode
-    killed by SIGINT raises KeyboardInterrupt: a Ctrl-C reaches the whole
-    process group, so the batch is being interrupted, not the task failing.
-    The process is in ``running`` until it is reaped, for a batch to kill.
+    a failure to launch raises EncodeError pointing at the log. The encoder
+    runs in a session of its own, which a terminal's Ctrl-C does not reach.
+    An encode killed by SIGINT raises KeyboardInterrupt: whoever sent it meant
+    to stop the batch, not to fail the task. The process is in ``running``
+    until it is reaped, for a batch to kill its process group.
     """
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
@@ -116,7 +118,8 @@ def run_encode(task: EncodeTask, clip: Clip, template: CommandTemplate,
     with open(log_path, "w", encoding="utf-8") as log:
         start = time.monotonic()
         try:
-            proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT)
+            proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT,
+                                    start_new_session=True)
         except OSError as exc:
             raise EncodeError(f"could not launch {argv[0]!r}: {exc}",
                               task_id=task.task_id, log_path=str(log_path)) from exc
@@ -196,7 +199,8 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
     after an interruption never duplicates a measurement; a final row cut
     short by a crash is dropped, so its task runs again. The calling thread
     alone writes and fsyncs each finished encode's row (in corpus order with
-    one worker). Any exception, SIGINT too, kills the running encodes unrecorded.
+    one worker). Any exception, SIGINT too, kills the running encodes' process
+    groups, each encoder with its children, and records none of them.
     """
     if concurrency < 1:
         raise ValidationError(f"concurrency must be >= 1, got {concurrency}")
@@ -254,11 +258,12 @@ def batch_encode(corpus: Corpus, template: CommandTemplate, input_dir, times_pat
                     succeeded += 1
         except BaseException:
             # record nothing more; kill until the workers are idle, as one may launch
-            # after a kill pass, and a SIGINT to this process alone spares encoders
+            # after a kill pass; no SIGINT reaches the encoders' own sessions
             stop.set()
             while futures:
                 for proc in list(running):
-                    proc.kill()
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
                 futures = wait(futures, timeout=0.05).not_done
             raise
         finally:

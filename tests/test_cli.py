@@ -28,6 +28,19 @@ PY = sys.executable
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def gone(pid, probe=os.kill, timeout=10.0):
+    """Whether ``probe(pid, 0)`` finds no process within timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            probe(pid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
 def write_yuv(path, frames):
     with open(path, "wb") as fh:
         for luma in frames:
@@ -65,9 +78,12 @@ class TestUsageErrors:
         ["predict", "--features", "x", "--system", "QQ"],
         ["predict", "--features", "x", "--system", "BP", "--cascade"],
         ["simulate", "--synthetic"],
-        ["cluster", "--features", "f.csv", "--out", "o.csv", "--config", "c.yaml"],
-        ["simulate", "--synthetic", "--report-out", "r.csv", "--config", "c.yaml"],
+        ["cluster", "--features", "f.csv", "--out", "o.csv", "--config", "c.conf"],
+        ["simulate", "--synthetic", "--report-out", "r.csv", "--config", "c.conf"],
         ["predict", "--features", "f.csv", "--cascade"],
+        # the cascade file is gone; --report picks the system from a sweep
+        ["predict", "--features", "f.csv", "--config", "c.conf"],
+        ["predict", "--features", "f.csv", "--system", "BP", "--report", "r.csv"],
         ["analyze", "--yuv", "c.yuv", "--width", "32", "--height", "32",
          "--num-frames", "2"],
         ["encode", "--features", "f.csv", "--input-dir", "in", "--template", "true",
@@ -122,7 +138,7 @@ class TestStartup:
         ("analyze", {"complexity"}),
         ("encode", {"runner"}),
         ("cluster", set()),
-        ("predict", {"config", "gbrt", "predictors"}),
+        ("predict", {"gbrt", "predictors"}),
         ("report", {"metrics", "predictors", "gbrt"}),
     ])
     def test_each_command_imports_only_what_it_runs(self, corpus_files, tmp_path, cmd, runs):
@@ -187,7 +203,7 @@ class TestFlagDefaults:
         assert sim.encoders is None
         assert _gbrt_params(sim) == _gbrt_params(pred) == GbrtParams() == sweep.gbrt
         assert pred.k == clus.k == DEFAULT_K == sweep.k
-        assert pred.system is None and pred.config is None
+        assert pred.system is None and pred.report is None
 
 
 class TestIngest:
@@ -419,22 +435,25 @@ class TestEncode:
         assert list(load_times_csv(tmp_path / "times.csv")) == \
             [t.task_id for t in corpus.tasks[1:3]]
 
-    def interrupt_hanging_encode(self, tmp_path, concurrency, on_sigint="", send=os.killpg):
+    def interrupt_hanging_encode(self, tmp_path, concurrency, on_sigint="", send=os.killpg,
+                                 hang=None):
         """SIGINT an encode once each worker's encode hangs; returns the corpus
         and the encode's argv.
 
         Clip-major order: each clip's cqp-22 task finishes at once, and its
-        cqp-27 task creates its output and then hangs until interrupted.
-        ``on_sigint`` is stand-in code that runs first, to trap the signal.
-        ``send`` is ``os.killpg`` for a terminal's Ctrl-C, which signals the
-        whole process group, or ``os.kill`` to signal ``corpus-eta`` alone.
+        cqp-27 task writes the pids of its processes, the encoder's first, to
+        its output and then hangs until interrupted. ``hang`` is that
+        template, a Python stand-in by default. ``on_sigint`` is stand-in code
+        that runs first, to trap the signal. ``send`` is ``os.killpg`` for a
+        terminal's Ctrl-C, which signals the whole process group, or
+        ``os.kill`` to signal ``corpus-eta`` alone.
         """
         hanging = int(concurrency)
         corpus = make_corpus(n_clips=max(2, hanging), encoders=("x264",),
                              presets=("medium",), cqps=(22, 27))
-        hang = (f"{PY} -c \"import signal, sys, time; {on_sigint}"
-                f"open(sys.argv[2], 'w').close(); "
-                f"time.sleep(60 if sys.argv[1] == '27' else 0)\" {{cqp}} {{output}}")
+        hang = hang or (f"{PY} -c \"import os, signal, sys, time; {on_sigint}"
+                        f"open(sys.argv[2], 'w').write(str(os.getpid())); "
+                        f"time.sleep(60 if sys.argv[1] == '27' else 0)\" {{cqp}} {{output}}")
         argv = self.encode_argv(tmp_path, corpus, hang, "--concurrency", concurrency)
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
@@ -442,21 +461,32 @@ class TestEncode:
         proc = subprocess.Popen([PY, "-m", "corpus_eta.cli", *argv], stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, env=env, text=True,
                                 start_new_session=True)
+        pids = []
         try:
             deadline = time.monotonic() + 30
-            while len(list((tmp_path / "scratch").glob("*27.out"))) < hanging:
+            while len(pids) < hanging:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
+                pids = [[int(pid) for pid in path.read_text().split()]
+                        for path in (tmp_path / "scratch").glob("*27.out")]
+                pids = [found for found in pids if found]
             send(proc.pid, signal.SIGINT)
             sent = time.monotonic()
             _, err = proc.communicate(timeout=10)
             waited = time.monotonic() - sent
-            # no encoder is left in the group, running or as a zombie
+            # nothing is left in corpus-eta's group, running or as a zombie
             with pytest.raises(ProcessLookupError):
                 os.killpg(proc.pid, 0)
+            # nor in an encoder's own group: an orphaned child is gone once the
+            # system reaps it, which may take a moment
+            for encoder, *children in pids:
+                for pid, probe in [(encoder, os.killpg), (encoder, os.kill),
+                                   *((child, os.kill) for child in children)]:
+                    assert gone(pid, probe), (pid, probe.__name__)
         finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
+            for group in [proc.pid] + [encoder for encoder, *_ in pids]:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(group, signal.SIGKILL)
             proc.wait()
         assert proc.returncode == 130
         assert waited < 5
@@ -486,6 +516,14 @@ class TestEncode:
         # as from `kill -INT` or a supervisor: the encoders get no signal themselves
         self.interrupt_hanging_encode(tmp_path, concurrency, send=os.kill)
 
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    def test_sigint_stops_an_encoders_own_children(self, tmp_path, concurrency):
+        # a wrapper script whose encoder runs as its child, which a kill of the
+        # wrapper alone would leave running
+        wrapper = ("sh -c 'if [ {cqp} = 27 ]; then sleep 60 & echo $$ $! > {output}; wait; "
+                   "else sleep 0.01; fi'")
+        self.interrupt_hanging_encode(tmp_path, concurrency, send=os.kill, hang=wrapper)
+
     def test_encode_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise EncodeError("cannot launch the encoder")
@@ -500,6 +538,47 @@ class TestEncode:
                    "--scratch", str(tmp_path / "scratch")])
         assert rc == 2
         assert capsys.readouterr().err == "corpus-eta: error: cannot launch the encoder\n"
+
+
+def no_input_read(*args, **kwargs):
+    raise AssertionError("input was read before the output paths were checked")
+
+
+class TestOutputDirectories:
+    """A command that writes several files checks each one's directory before
+    it reads, fits or writes anything."""
+
+    @pytest.mark.parametrize("cmd,flag", [
+        ("predict", "--model-out"), ("predict", "--per-task-out"),
+        ("cluster", "--out"), ("cluster", "--centroids-out"),
+        ("analyze", "--frames-out"), ("analyze", "--features-out"),
+    ])
+    def test_missing_directory_exits_1_before_any_work(self, corpus_files, tmp_path, capsys,
+                                                       monkeypatch, cmd, flag):
+        corpus, features, _ = corpus_files
+        yuv = tmp_path / "clip.yuv"
+        write_yuv(yuv, [np.full((32, 32), 90, dtype=np.uint8)])
+        argv, outputs, reader = {
+            "predict": (["predict", "--features", str(features), "--encoders", "x264",
+                         "--times", str(partial_times(tmp_path, corpus, 6)),
+                         "--system", "XP", "--trees", "20"],
+                        ("--model-out", "--per-task-out"), (cli, "load_corpus")),
+            "cluster": (["cluster", "--features", str(features), "--k", "2"],
+                        ("--out", "--centroids-out"), (cli, "load_features_csv")),
+            "analyze": (["analyze", "--yuv", str(yuv), "--width", "32", "--height", "32",
+                         "--clip-id", "a"],
+                        ("--frames-out", "--features-out"), (complexity, "analyze_yuv")),
+        }[cmd]
+        monkeypatch.setattr(*reader, no_input_read)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        paths = {f: str((tmp_path / "missing" if f == flag else out_dir) / f"{f[2:]}.csv")
+                 for f in outputs}
+        assert main(argv + [arg for pair in paths.items() for arg in pair]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"corpus-eta: error: {flag}: directory of {paths[flag]} does not exist\n"
+        assert out == ""
+        assert list(out_dir.iterdir()) == []
 
 
 SIM_BASE = ["simulate", "--synthetic", "--n-clips", "4", "--num-groups", "2",
@@ -887,6 +966,87 @@ class TestPredict:
         assert rc == 1
         assert capsys.readouterr().err == (
             "corpus-eta: error: every task already has a measured time; nothing to predict\n")
+
+
+class TestPredictReport:
+    """``predict --report`` takes the system from a sweep report."""
+
+    # graded at 2, 6 and 12 of the 24 tasks
+    REPORT = ("system,c,mape,r2,sape\n"
+              f"BP,{2 / 24!r},30.0,0.1,5.0\n"
+              f"CP,{2 / 24!r},30.0,0.1,4.0\n"
+              f"CXP,{2 / 24!r},30.0,0.1,1.0\n"
+              "BP,0.25,30.0,0.1,3.0\n"
+              "XP,0.25,30.0,0.1,2.0\n"
+              "GXP,0.25,30.0,0.1,1.5\n"
+              "XP,0.5,30.0,0.1,1.0\n"
+              "BP,0.5,30.0,0.1,1.0\n"
+              "CP,0.5,30.0,0.1,1.25\n")
+
+    def predict(self, tmp_path, corpus, features, n, *flags, text=REPORT):
+        report = tmp_path / "report.csv"
+        report.write_text(text)
+        return main(["predict", "--features", str(features), "--encoders", "x264",
+                     "--times", str(partial_times(tmp_path, corpus, n)), "--k", "2",
+                     "--trees", "5", "--report", str(report),
+                     "--per-task-out", str(tmp_path / "per_task.csv"), *flags])
+
+    @pytest.mark.parametrize("n,model_in,picked", [
+        (1, False, ("CP", 2 / 24, 4.0)),   # below the grid; CXP is never picked
+        (2, False, ("CP", 2 / 24, 4.0)),   # at each graded c
+        (6, False, ("XP", 0.25, 2.0)),
+        (12, False, ("XP", 0.5, 1.0)),     # a tie goes to the row listed first
+        (4, False, ("XP", 0.25, 2.0)),     # between graded points
+        (18, False, ("XP", 0.5, 1.0)),     # above the grid
+        (6, True, ("GXP", 0.25, 1.5)),
+        (0, True, ("GXP", 0.25, 1.5)),     # 2/24 has no row GXP alone can run
+    ])
+    def test_picks_the_lowest_sape_runnable_row(self, corpus_files, tmp_path, capsys,
+                                                n, model_in, picked):
+        corpus, features, _ = corpus_files
+        flags = []
+        if model_in:
+            model = tmp_path / "model.json"
+            assert main(["predict", "--features", str(features), "--encoders", "x264",
+                         "--times", str(partial_times(tmp_path, corpus, 6)),
+                         "--system", "XP", "--trees", "5", "--model-out", str(model)]) == 0
+            flags = ["--model-in", str(model)]
+        capsys.readouterr()
+        assert self.predict(tmp_path, corpus, features, n, *flags) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["system"], doc["report_c"], doc["report_sape"]) == picked
+        assert doc["completed"] == n
+
+    def test_nothing_runnable_exits_1(self, corpus_files, tmp_path, capsys):
+        corpus, features, _ = corpus_files
+        assert self.predict(tmp_path, corpus, features, 0) == 1
+        assert capsys.readouterr().err == (
+            f"corpus-eta: error: {tmp_path / 'report.csv'}: no row names a system that "
+            "predict can run at c=0.0\n")
+        assert not (tmp_path / "per_task.csv").exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("QP,0.25,30.0,0.1,1.0",
+         "row 2: unknown system 'QP', expected one of ('BP', 'CP', 'XP', 'CXP', 'GXP')"),
+        ("BP,1.0,30.0,0.1,1.0", "row 2: c must be in [0, 1), got 1.0"),
+        ("BP,-0.1,30.0,0.1,1.0", "row 2: c must be in [0, 1), got -0.1"),
+        ("BP,nan,30.0,0.1,1.0", "row 2: c must be in [0, 1), got nan"),
+        ("BP,0.25,30.0,0.1,nan", "row 2: sape must be finite and >= 0, got nan"),
+        ("BP,0.25,30.0,0.1,inf", "row 2: sape must be finite and >= 0, got inf"),
+        ("BP,0.25,30.0,0.1,-1.0", "row 2: sape must be finite and >= 0, got -1.0"),
+        ("BP,0.25,30.0,0.1,1.0\nCP,0.25,3,0,2\nBP,0.250,3,0,2",
+         "row 4: a second row for BP at c=0.250"),
+        ("", "the report has no rows"),
+    ])
+    def test_rejected_report_exits_1_and_writes_nothing(self, corpus_files, tmp_path, capsys,
+                                                        row, message):
+        corpus, features, _ = corpus_files
+        text = f"system,c,mape,r2,sape\n{row}\n"
+        assert self.predict(tmp_path, corpus, features, 6, text=text) == 1
+        report = tmp_path / "report.csv"
+        sep = ", " if message.startswith("row") else ": "
+        assert capsys.readouterr().err == f"corpus-eta: error: {report}{sep}{message}\n"
+        assert not (tmp_path / "per_task.csv").exists()
 
 
 class TestReport:

@@ -14,9 +14,10 @@ from corpus_eta.corpus import Corpus, expand_tasks
 from corpus_eta.errors import PredictionError, ValidationError
 from corpus_eta.gbrt import (GbrtParams, add_stage, feature_matrix, model_to_dict, predict,
                              train)
+from corpus_eta.metrics import ReportRow
 from corpus_eta.predictors import (DEFAULT_CASCADE, SYSTEMS, CascadePolicy, Forecast,
                                    _refit_stages, bp_predict, cascade_select, cp_predict,
-                                   cxp_order, gxp_train_split, xp_predict)
+                                   cxp_order, gxp_train_split, report_select, xp_predict)
 
 from helpers import make_clip, make_corpus, with_random_times
 
@@ -585,3 +586,48 @@ class TestCascade:
 
     def test_known_systems_roster(self):
         assert SYSTEMS == ("BP", "CP", "XP", "CXP", "GXP")
+
+
+def report_select_oracle(rows, c, runnable):
+    """Brute force: of the runnable rows, the one whose graded c is the nearest
+    at or above c (the nearest below when none is), then the lowest SAPE, then
+    the first listed."""
+    ranked = [((0, row.c) if row.c >= c else (1, -row.c), row.sape, i)
+              for i, row in enumerate(rows) if row.system in runnable]
+    return rows[min(ranked)[2]] if ranked else None
+
+
+class TestReportSelect:
+    ROWS = [ReportRow(system, c, 0.0, 0.0, sape) for system, c, sape in [
+        ("BP", 0.1, 5.0), ("CP", 0.1, 4.0), ("CXP", 0.1, 1.0),
+        ("XP", 0.5, 2.0), ("BP", 0.5, 2.0), ("GXP", 0.5, 0.5),
+    ]]
+
+    @pytest.mark.parametrize("c,runnable,picked", [
+        (0.0, {"BP", "CP", "XP"}, ("CP", 0.1)),        # below the grid
+        (0.1, {"BP", "CP", "XP"}, ("CP", 0.1)),        # at a graded c
+        (0.3, {"BP", "CP", "XP"}, ("XP", 0.5)),        # a tie goes to the row listed first
+        (0.9, {"BP", "CP", "XP", "GXP"}, ("GXP", 0.5)),  # above the grid
+        (0.0, {"GXP"}, ("GXP", 0.5)),                  # 0.1 has no runnable row
+        (0.0, {"CXP"}, ("CXP", 0.1)),
+    ])
+    def test_hand_picks(self, c, runnable, picked):
+        row = report_select(self.ROWS, c, runnable)
+        assert (row.system, row.c) == picked
+
+    def test_no_runnable_row_picks_nothing(self):
+        assert report_select(self.ROWS, 0.2, set()) is None
+        assert report_select(self.ROWS, 0.2, {"BP"}) is self.ROWS[4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_brute_force_oracle(self, data):
+        grid = [0.0, 0.02, 0.1, 0.4, 0.9]
+        cells = data.draw(st.lists(st.tuples(st.sampled_from(SYSTEMS), st.sampled_from(grid)),
+                                   unique=True, max_size=12))
+        sapes = st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                          st.floats(0.0, 100.0, allow_nan=False))
+        rows = [ReportRow(system, c, 0.0, 0.0, data.draw(sapes)) for system, c in cells]
+        c = data.draw(st.one_of(st.sampled_from(grid), st.floats(0.0, 1.0, exclude_max=True)))
+        runnable = data.draw(st.sets(st.sampled_from(SYSTEMS)))
+        assert report_select(rows, c, runnable) is report_select_oracle(rows, c, runnable)
