@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when input data or arguments fail validation,
 2 when something breaks at runtime (an encode fails, a file vanishes), 64
-for malformed command lines, and 130 when interrupted (Ctrl-C).
+for malformed command lines, and 130 when interrupted (Ctrl-C). ``encode``
+ended by SIGTERM, SIGHUP or SIGQUIT exits 128 plus the signal's number.
 
 Each ``cmd_*`` function imports the modules it runs, and only the named
 subcommand's flags are built, so a short call such as ``analyze`` loads no
@@ -12,9 +13,11 @@ sweep, trees or process pool.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -67,10 +70,6 @@ def _gbrt_params(args) -> GbrtParams:
                            learning_rate=args.learning_rate, min_samples_leaf=args.min_leaf)
 
 
-def _hms(seconds: float) -> str:
-    return str(datetime.timedelta(seconds=round(seconds)))
-
-
 def _require_out_dirs(args, *names: str) -> None:
     """Fail before any work when the directory of an output file does not exist,
     so that a command does not leave some of its outputs and then fail."""
@@ -105,16 +104,6 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _infer_num_frames(path, width: int, height: int) -> int:
-    frame_bytes = width * height * 3 // 2
-    size = os.path.getsize(path)
-    if size == 0 or size % frame_bytes:
-        raise ValidationError(
-            f"{path}: size {size} is not a whole number of {width}x{height} "
-            f"YUV420p frames ({frame_bytes} bytes each)")
-    return size // frame_bytes
-
-
 def cmd_analyze(args) -> int:
     from . import complexity
     # checked before any frame is read, so a bad request costs no DCT work
@@ -134,7 +123,13 @@ def cmd_analyze(args) -> int:
             if any(c.clip_id == args.clip_id for c in existing):
                 raise ValidationError(
                     f"clip {args.clip_id!r} already present in {args.features_out}")
-    num_frames = _infer_num_frames(args.yuv, args.width, args.height)
+    frame_bytes = args.width * args.height * 3 // 2
+    size = os.path.getsize(args.yuv)
+    if size == 0 or size % frame_bytes:
+        raise ValidationError(f"{args.yuv}: size {size} is not a whole number of "
+                              f"{args.width}x{args.height} YUV420p frames "
+                              f"({frame_bytes} bytes each)")
+    num_frames = size // frame_bytes
     frames, clip_stats = complexity.analyze_yuv(
         args.yuv, args.width, args.height, num_frames, jobs=args.jobs)
     print(f"frames: {num_frames}")
@@ -172,6 +167,23 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+class _Terminated(BaseException):
+    """The signal args[0], raised in the main thread so that ``batch_encode``
+    kills the encoders' process groups on the way out."""
+
+
+def _terminate(signum, frame):
+    # once: a second signal must not cut the kill pass short
+    for other in _TERMINATORS:
+        signal.signal(other, signal.SIG_IGN)
+    raise _Terminated(signum)
+
+
+# a terminal's hangup and Ctrl-\, `kill %job` and `timeout` send these to
+# corpus-eta's process group, which the encoders' own sessions are outside of
+_TERMINATORS = (signal.SIGTERM, signal.SIGHUP, signal.SIGQUIT)
+
+
 def cmd_encode(args) -> int:
     from . import runner
     corpus = load_corpus(args.features, tasks_path=args.tasks, encoders=args.encoders)
@@ -180,9 +192,14 @@ def cmd_encode(args) -> int:
             and os.path.getsize(args.out) > 0):
         raise ValidationError(
             f"{args.out} already has measurements; pass --resume to continue it")
-    summary = runner.batch_encode(corpus, template, args.input_dir, args.out,
-                                  args.scratch, concurrency=args.concurrency,
-                                  fail_fast=args.fail_fast, keep_output=args.keep_output)
+    previous = {signum: signal.signal(signum, _terminate) for signum in _TERMINATORS}
+    try:
+        summary = runner.batch_encode(corpus, template, args.input_dir, args.out,
+                                      args.scratch, concurrency=args.concurrency,
+                                      fail_fast=args.fail_fast, keep_output=args.keep_output)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     print(f"requested: {summary.requested}")
     print(f"skipped (already measured): {summary.skipped}")
     print(f"succeeded: {summary.succeeded}")
@@ -275,7 +292,8 @@ def cmd_predict(args) -> int:
     if system == "CP":
         assignment = cluster_clips(corpus.clips, k=args.k, seed=args.seed)
     elif system != "BP":
-        if args.model_in is not None:
+        # a report grades XP as a fit on the completed tasks: its --model-in is GXP's
+        if args.model_in is not None and (picked is None or system == "GXP"):
             model = gbrt.load_model(args.model_in)
         elif system == "GXP":
             raise ValidationError("GXP predicts with a model trained elsewhere; "
@@ -299,7 +317,7 @@ def cmd_predict(args) -> int:
         "completed": len(done),
         "remaining": len(queued),
         "T_hat_seconds": result.T_hat,
-        "T_hat_hms": _hms(result.T_hat),
+        "T_hat_hms": str(datetime.timedelta(seconds=round(result.T_hat))),
     }
     if result.t_bar is not None:
         doc["mean_completed_seconds"] = result.t_bar
@@ -312,13 +330,9 @@ def cmd_predict(args) -> int:
 
 def cmd_report(args) -> int:
     from . import metrics
-    rows = metrics.load_report_csv(args.report)
-    if args.system:
-        wanted = set(args.system)
-        rows = [r for r in rows if r.system in wanted]
-    if args.c:
-        wanted_c = set(args.c)
-        rows = [r for r in rows if any(abs(r.c - w) < 1e-12 for w in wanted_c)]
+    rows = [r for r in metrics.load_report_csv(args.report)
+            if (not args.system or r.system in args.system)
+            and (not args.c or any(abs(r.c - w) < 1e-12 for w in args.c))]
     if not rows:
         raise ValidationError("no report rows match the requested filters")
     if args.json:
@@ -454,7 +468,8 @@ def _predict_flags(p) -> None:
     pick.add_argument("--report", default=None,
                       help="pick from a simulate report: at the first graded c at or above "
                            "the job's (else the last), the lowest SAPE of BP, CP and XP once a "
-                           "task is done, and of GXP with --model-in; never CXP")
+                           "task is done, and of GXP with --model-in; never CXP. XP refits "
+                           "even with --model-in")
     p.add_argument("--k", type=int, default=DEFAULT_K,
                    help="clusters for CP (default %(default)s)")
     p.add_argument("--seed", type=_seed, default=0, help="clustering seed (default %(default)s)")
@@ -491,7 +506,7 @@ def build_parser(command: str | None = None) -> _Parser:
         prog="corpus-eta",
         description="Predict how long the rest of a video encode corpus will take.",
         epilog="exit codes: 0 ok, 1 invalid input, 2 runtime failure, 64 usage, "
-               "130 interrupted")
+               "130 interrupted, 128+N encode ended by signal N")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_line, add_flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
@@ -511,6 +526,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("corpus-eta: interrupted", file=sys.stderr)
         return 130
+    except _Terminated as exc:
+        with contextlib.suppress(OSError):  # after a hangup the terminal may be gone
+            print(f"corpus-eta: terminated by {signal.Signals(exc.args[0]).name}",
+                  file=sys.stderr)
+        return 128 + exc.args[0]
     except (ValidationError, OSError) as exc:
         # unreadable/unwritable paths are an input problem, not a crash
         print(f"corpus-eta: error: {exc}", file=sys.stderr)

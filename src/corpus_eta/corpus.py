@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import stat
@@ -67,12 +68,10 @@ class Clip:
         if self.framerate <= 0:
             raise ValidationError(
                 f"clip {self.clip_id!r}: framerate must be > 0, got {self.framerate}")
-        if not (0.0 <= self.E < math.inf):
-            raise ValidationError(f"clip {self.clip_id!r}: E must be finite and >= 0, "
-                                  f"got {self.E}")
-        if not (0.0 <= self.h < math.inf):
-            raise ValidationError(f"clip {self.clip_id!r}: h must be finite and >= 0, "
-                                  f"got {self.h}")
+        for name in ("E", "h"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValidationError(f"clip {self.clip_id!r}: {name} must be finite and "
+                                      f">= 0, got {getattr(self, name)}")
         if not (0.0 <= self.luma <= 255.0):
             raise ValidationError(
                 f"clip {self.clip_id!r}: luma must be in [0, 255], got {self.luma}")
@@ -189,24 +188,13 @@ def expand_tasks(clips: Sequence[Clip], encoders: Sequence[str],
                  presets: Sequence[str] = PRESETS,
                  cqps: Sequence[int] = CQPS) -> list[EncodeTask]:
     """Cartesian product of clips x encoders x presets x cqps, in that order."""
-    if not clips:
-        raise ValidationError("expand_tasks: no clips")
-    if not encoders:
-        raise ValidationError("expand_tasks: no encoders")
-    if not presets:
-        raise ValidationError("expand_tasks: no presets")
-    if not cqps:
-        raise ValidationError("expand_tasks: no cqps")
-    tasks = []
-    for clip in clips:
-        for encoder in encoders:
-            for preset in presets:
-                for cqp in cqps:
-                    tasks.append(EncodeTask(
-                        task_id=task_id_for(clip.clip_id, encoder, preset, cqp),
-                        clip_id=clip.clip_id, encoder=encoder,
-                        preset=preset, cqp=int(cqp)))
-    return tasks
+    for name, values in (("clips", clips), ("encoders", encoders), ("presets", presets),
+                         ("cqps", cqps)):
+        if not values:
+            raise ValidationError(f"expand_tasks: no {name}")
+    return [EncodeTask(task_id=task_id_for(clip.clip_id, encoder, preset, cqp),
+                       clip_id=clip.clip_id, encoder=encoder, preset=preset, cqp=int(cqp))
+            for clip, encoder, preset, cqp in itertools.product(clips, encoders, presets, cqps)]
 
 
 def float_text(x) -> str:

@@ -265,13 +265,10 @@ def gxp_train_split(corpus: Corpus, test_groups) -> GxpSplit:
     if missing:
         raise ValidationError(
             f"test groups {sorted(missing)} not present in the corpus")
-    train_ids: list[str] = []
-    test_ids: list[str] = []
-    for task in corpus.tasks:
-        if corpus.clip(task.clip_id).source_group in test_groups:
-            test_ids.append(task.task_id)
-        else:
-            train_ids.append(task.task_id)
+    held_out = {task.task_id: corpus.clip(task.clip_id).source_group in test_groups
+                for task in corpus.tasks}
+    train_ids = [tid for tid, test in held_out.items() if not test]
+    test_ids = [tid for tid, test in held_out.items() if test]
     if not train_ids:
         raise ValidationError("generalised split has an empty training side")
     if not test_ids:

@@ -436,9 +436,9 @@ class TestEncode:
             [t.task_id for t in corpus.tasks[1:3]]
 
     def interrupt_hanging_encode(self, tmp_path, concurrency, on_sigint="", send=os.killpg,
-                                 hang=None):
-        """SIGINT an encode once each worker's encode hangs; returns the corpus
-        and the encode's argv.
+                                 hang=None, signum=signal.SIGINT):
+        """Send ``signum`` to an encode once each worker's encode hangs; returns
+        the corpus and the encode's argv.
 
         Clip-major order: each clip's cqp-22 task finishes at once, and its
         cqp-27 task writes the pids of its processes, the encoder's first, to
@@ -470,7 +470,7 @@ class TestEncode:
                 pids = [[int(pid) for pid in path.read_text().split()]
                         for path in (tmp_path / "scratch").glob("*27.out")]
                 pids = [found for found in pids if found]
-            send(proc.pid, signal.SIGINT)
+            send(proc.pid, signum)
             sent = time.monotonic()
             _, err = proc.communicate(timeout=10)
             waited = time.monotonic() - sent
@@ -488,9 +488,12 @@ class TestEncode:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(group, signal.SIGKILL)
             proc.wait()
-        assert proc.returncode == 130
+        if signum == signal.SIGINT:
+            assert (proc.returncode, err.splitlines()) == (130, ["corpus-eta: interrupted"])
+        else:
+            assert (proc.returncode, err.splitlines()) == (
+                128 + signum, [f"corpus-eta: terminated by {signum.name}"])
         assert waited < 5
-        assert err.splitlines() == ["corpus-eta: interrupted"]
         done = load_times_csv(tmp_path / "times.csv")
         assert sorted(done) == sorted(t.task_id for t in corpus.tasks[:2 * hanging:2])
         assert not (tmp_path / "times.csv.failures.csv").exists()
@@ -523,6 +526,14 @@ class TestEncode:
         wrapper = ("sh -c 'if [ {cqp} = 27 ]; then sleep 60 & echo $$ $! > {output}; wait; "
                    "else sleep 0.01; fi'")
         self.interrupt_hanging_encode(tmp_path, concurrency, send=os.kill, hang=wrapper)
+
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGQUIT],
+                             ids=lambda signum: signum.name)
+    def test_terminal_signals_stop_running_encodes(self, tmp_path, concurrency, signum):
+        # as from a closed terminal, Ctrl-\, `kill %job` or `timeout`, which
+        # signal corpus-eta's group and so no longer reach the encoders
+        self.interrupt_hanging_encode(tmp_path, concurrency, signum=signum)
 
     def test_encode_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -1016,6 +1027,26 @@ class TestPredictReport:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["system"], doc["report_c"], doc["report_sape"]) == picked
         assert doc["completed"] == n
+
+    def test_picked_xp_refits_despite_model_in(self, corpus_files, tmp_path, capsys):
+        # the report graded XP as a fit on the completed tasks, so a picked XP
+        # fits one even when --model-in is there for GXP
+        corpus, features, _ = corpus_files
+        loaded, refit, fixed = (tmp_path / f"{name}.json" for name in ("in", "refit", "fixed"))
+        assert main(["predict", "--features", str(features), "--encoders", "x264",
+                     "--times", str(partial_times(tmp_path, corpus, 6)),
+                     "--system", "XP", "--trees", "5", "--model-out", str(loaded)]) == 0
+        capsys.readouterr()
+        assert self.predict(tmp_path, corpus, features, 12, "--model-in", str(loaded),
+                            "--model-out", str(refit)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["system"], doc["report_c"], doc["report_sape"]) == ("XP", 0.5, 1.0)
+        assert main(["predict", "--features", str(features), "--encoders", "x264",
+                     "--times", str(partial_times(tmp_path, corpus, 12)),
+                     "--system", "XP", "--trees", "5", "--model-out", str(fixed)]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert doc["T_hat_seconds"] == alone["T_hat_seconds"]
+        assert refit.read_bytes() == fixed.read_bytes() != loaded.read_bytes()
 
     def test_nothing_runnable_exits_1(self, corpus_files, tmp_path, capsys):
         corpus, features, _ = corpus_files
